@@ -1295,9 +1295,10 @@ let e20 () =
   let run harness independence =
     let store, programs, sym = harness () in
     let options =
-      Search.of_legacy ~max_crashes:1
-        ~reduction:(Explore.full_reduction sym)
-        ~independence ()
+      Search.(
+        default |> with_max_crashes 1
+        |> with_reduction (Explore.full_reduction sym)
+        |> with_independence independence)
     in
     let before = List.map metric counter_names in
     let t0 = Unix.gettimeofday () in
@@ -1427,7 +1428,11 @@ let e21 () =
       | `None -> Explore.no_reduction
       | `Full -> Explore.full_reduction sym
     in
-    let options = Search.of_legacy ~max_crashes:1 ~reduction ~fp ~jobs () in
+    let options =
+      Search.(
+        default |> with_max_crashes 1 |> with_reduction reduction
+        |> with_fp fp |> with_jobs jobs)
+    in
     let before = List.map metric counter_names in
     let t0 = Unix.gettimeofday () in
     let stats =
@@ -1527,14 +1532,15 @@ let e21 () =
 
 (* ------------------------------------------------------------------ E22 *)
 
-(* Partitioned out-of-core exploration: fingerprint-lane state ownership
-   with batched frontier exchange, at 1/2/4 partitions, over the heap
-   claim tables and the mmap-spilled 62-bit tables.  The claim under
-   test is the engine's determinism contract — states / transitions /
-   terminals / hung / crashed bit-identical to the sequential explorer
-   at every partition count in both storage modes — plus the exchange
-   and spill traffic surfaced per run ([partition.batches_sent],
-   [partition.batch_bytes], [partition.spill_bytes]).  [seq_threshold 0]
+(* Partitioned out-of-core exploration: the parallel engine's
+   fingerprint-lane state ownership with batched frontier exchange, at
+   1/2/4 partitions, over the heap claim tables and the mmap-spilled
+   62-bit tables.  The claim under test is the engine's determinism
+   contract — states / transitions / terminals / hung / crashed
+   bit-identical to the sequential explorer at every partition count in
+   both storage modes — plus the exchange
+   and spill traffic surfaced per run ([parallel.batches_sent],
+   [parallel.batch_bytes], [parallel.spill_bytes]).  [seq_threshold 0]
    forces the worker/batch path even on these benchmark-sized spaces. *)
 let e22 () =
   let alg5_harness () =
@@ -1553,8 +1559,8 @@ let e22 () =
     match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
   in
   let counter_names =
-    [ "partition.batches_sent"; "partition.batch_bytes";
-      "partition.spill_bytes" ]
+    [ "parallel.batches_sent"; "parallel.batch_bytes";
+      "parallel.spill_bytes" ]
   in
   let rows =
     List.concat_map
@@ -1570,7 +1576,7 @@ let e22 () =
                 let before = List.map metric counter_names in
                 let t0 = Unix.gettimeofday () in
                 let stats =
-                  Partition.iter_terminals ~max_crashes:f ?spill
+                  Parallel.iter_terminals ~max_crashes:f ?spill
                     ~seq_threshold:0 ~partitions ~jobs:4 config
                     ~f:(fun _ _ -> ())
                 in

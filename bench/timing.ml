@@ -603,9 +603,10 @@ let perf_independence () =
         (fun (mode, independence) ->
           let store, programs, sym = harness () in
           let options =
-            Search.of_legacy ~max_crashes:1
-              ~reduction:(Explore.full_reduction sym)
-              ~independence ()
+            Search.(
+              default |> with_max_crashes 1
+              |> with_reduction (Explore.full_reduction sym)
+              |> with_independence independence)
           in
           let before = List.map metric counter_names in
           let t0 = Unix.gettimeofday () in
@@ -686,8 +687,10 @@ let perf_e21 ~jobs_list () =
                   counter_delta [ "fp.patches"; "fp.refolds" ] (fun () ->
                       Search.iter_terminals
                         ~options:
-                          (Search.of_legacy ~max_crashes:1 ~reduction ~fp
-                             ~jobs ())
+                          Search.(
+                            default |> with_max_crashes 1
+                            |> with_reduction reduction |> with_fp fp
+                            |> with_jobs jobs)
                         config
                         ~f:(fun _ _ -> ()))
                 in
@@ -744,14 +747,9 @@ let perf_e21 ~jobs_list () =
         [ ("none", Explore.no_reduction); ("full", Explore.full_reduction sym) ])
     families
 
-(* P6 / E22 artifact rows: the partitioned engine.  Three headline
-   guards ride in [p6.partition_compare]:
+(* P6 / E22 artifact rows: the parallel engine at 1/2/4 partitions.  Two
+   headline guards ride in [p6.partition_compare]:
 
-   - [partition1_vs_parallel]: the batching/ownership machinery at
-     partitions=1 must cost <= 1.15x the plain work-stealing engine at
-     the same domain count (CI asserts this) — a single partition sends
-     no batches, so the overhead is the routing hash and the credit
-     counter.
    - [spill_vs_lockfree_memory]: the mmap-spilled visited set's heap
      residency must be <= 50% of the lock-free claim table's on the
      largest registry family (it is bookkeeping-only; the mapped pages
@@ -780,28 +778,20 @@ let perf_partition ~jobs_list () =
     (Option.get !result, !best)
   in
   let jobs = match List.rev jobs_list with j :: _ -> min j 4 | [] -> 4 in
-  (* The plain parallel engine at the same domain count: the overhead
-     baseline for partitions=1. *)
-  let _, parallel_secs =
-    best_of (fun () ->
-        Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~jobs config
-          ~f:(fun _ _ -> ()))
-  in
   let counter_names =
-    [ "partition.batches_sent"; "partition.batch_bytes";
-      "partition.spill_bytes"; "partition.steals" ]
+    [ "parallel.batches_sent"; "parallel.batch_bytes";
+      "parallel.spill_bytes"; "parallel.steals" ]
   in
   let explore ?spill partitions =
     let (stats, secs), deltas =
       counter_delta counter_names (fun () ->
           best_of (fun () ->
-              Partition.iter_terminals ~max_crashes:1 ?spill ~seq_threshold:0
+              Parallel.iter_terminals ~max_crashes:1 ?spill ~seq_threshold:0
                 ~partitions ~jobs config
                 ~f:(fun _ _ -> ())))
     in
     (stats, secs, List.map (fun d -> d /. float_of_int repeat) deltas)
   in
-  let secs_p1 = ref 0.0 in
   let bytes_of_mode = Hashtbl.create 4 in
   let rows =
     List.concat_map
@@ -818,10 +808,9 @@ let perf_partition ~jobs_list () =
                  terminals, expected %d / %d@."
                 mode partitions stats.Explore.states stats.Explore.terminals
                 base_stats.Explore.states base_stats.Explore.terminals;
-            if mode = "heap" && partitions = 1 then secs_p1 := secs;
             let visited_bytes =
               Option.value ~default:0.0
-                (Obs.Metrics.find "partition.visited_bytes")
+                (Obs.Metrics.find "parallel.visited_bytes")
             in
             Hashtbl.replace bytes_of_mode mode visited_bytes;
             Format.printf
@@ -851,8 +840,8 @@ let perf_partition ~jobs_list () =
           [ 1; 2; 4 ])
       [ ("heap", None); ("spill", Some "_perf_spill.tmp") ]
   in
-  (* The lock-free table's bytes for the memory headline come from the
-     plain engine's gauge (same family, same budget). *)
+  (* The lock-free table's bytes for the memory headline: one
+     single-partition heap run (same family, same budget). *)
   ignore
     (Parallel.iter_terminals ~visited:Parallel.Lockfree ~max_crashes:1
        ~seq_threshold:0 ~jobs config
@@ -863,12 +852,7 @@ let perf_partition ~jobs_list () =
   let spill_bytes_heap =
     try Hashtbl.find bytes_of_mode "spill" with Not_found -> 0.0
   in
-  let overhead =
-    if parallel_secs > 0.0 then !secs_p1 /. parallel_secs else 0.0
-  in
-  Format.printf
-    "p6: partitions=1 vs parallel %.2fx; spill heap bytes / lockfree %.2fx@."
-    overhead
+  Format.printf "p6: spill heap bytes / lockfree %.2fx@."
     (if lockfree_bytes > 0.0 then spill_bytes_heap /. lockfree_bytes else 0.0);
   rows
   @ [
@@ -877,9 +861,6 @@ let perf_partition ~jobs_list () =
         fields =
           [
             ("jobs", float_of_int jobs);
-            ("parallel_seconds", parallel_secs);
-            ("partition1_seconds", !secs_p1);
-            ("partition1_vs_parallel", overhead);
             ("lockfree_visited_bytes", lockfree_bytes);
             ("spill_heap_bytes", spill_bytes_heap);
             ( "spill_vs_lockfree_memory",

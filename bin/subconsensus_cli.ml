@@ -268,8 +268,23 @@ let resolve_independence independence reduction =
    every checking subcommand goes through. *)
 let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
     ~max_crashes ~max_recoveries ~jobs ~partitions () =
-  Search.of_legacy ~max_states ~max_crashes ~max_recoveries ?deadline
-    ?expected_states ?reduction ~jobs ~partitions ?spill ()
+  {
+    Search.default with
+    max_states;
+    max_crashes;
+    max_recoveries;
+    deadline;
+    expected_states;
+    reduction = Option.value reduction ~default:Search.default.reduction;
+    jobs = max 1 jobs;
+    partitions = max 1 partitions;
+    spill;
+  }
+
+(* The options of a check driven by [--reduction] alone. *)
+let reduction_options = function
+  | None -> Search.default
+  | Some r -> Search.with_reduction r Search.default
 
 let check_instance ~options inst =
   match inst with
@@ -346,8 +361,9 @@ let partitions_arg =
           "Partition state ownership across $(docv) hash-partitioned \
            visited tables (fingerprint-lane routing) with batched \
            cross-partition frontier exchange; $(b,--jobs) domains are \
-           split evenly across partitions.  Verdicts and state counts \
-           are identical at any $(docv).")
+           split evenly across partitions, and $(docv) > 1 runs the \
+           parallel engine even at $(b,--jobs) 1.  Verdicts and state \
+           counts are identical at any $(docv).")
 
 let spill_arg =
   Arg.(
@@ -359,7 +375,7 @@ let spill_arg =
            if absent; segment files are unlinked after mapping, so \
            nothing persists).  Heap residency drops to bookkeeping; \
            collision characteristics match $(b,--visited) compressed.  \
-           Implies the partitioned engine even at $(b,--partitions) 1.")
+           Runs the parallel engine even at $(b,--jobs) 1.")
 
 let visited_arg =
   Arg.(
@@ -543,7 +559,7 @@ let run_task_alg name inst exhaustive n_seeds choice json metrics =
   | Task_instance { store; programs; inputs; task; _ } ->
     if exhaustive then begin
       let reduction = reduction_of ~alg:name choice inst in
-      let options = Search.of_legacy ?reduction () in
+      let options = reduction_options reduction in
       let v =
         Subc_check.Task_check.check ~options store ~programs ~inputs ~task
       in
@@ -581,7 +597,7 @@ let alg5_cmd =
     setup_obs ~json ~metrics;
     let inst = alg5_instance ~k in
     let reduction = reduction_of ~alg:"alg5" choice inst in
-    let v = check_instance ~options:(Search.of_legacy ?reduction ()) inst in
+    let v = check_instance ~options:(reduction_options reduction) inst in
     report ~json "alg5" v;
     finish ~metrics [ v ]
   in

@@ -257,12 +257,12 @@ let analyze_subject ?family ?deadline s =
 
 (* Subjects are independent, so they fan out across domains; each
    subject's findings stay in check order and the subject order is
-   preserved by [Parallel.map].  The deadline is converted to an absolute
+   preserved by [Parmap.map].  The deadline is converted to an absolute
    instant once, so all domains race the same clock. *)
 let analyze ?family ?(jobs = 1) ?deadline subjects =
   let stop = stop_of_deadline deadline in
   List.concat
-    (Subc_sim.Parallel.map ~jobs (analyze_subject_until ?family ?stop) subjects)
+    (Subc_sim.Parmap.map ~jobs (analyze_subject_until ?family ?stop) subjects)
 
 let verdicts findings = List.map (fun f -> f.verdict) findings
 let exit_code findings = Verdict.combined_exit (verdicts findings)

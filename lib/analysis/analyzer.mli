@@ -62,7 +62,7 @@ val analyze :
   Subject.t list ->
   finding list
 (** [jobs] analyzes that many subjects concurrently (one domain each,
-    {!Subc_sim.Parallel.map}); findings keep their deterministic order.
+    {!Subc_sim.Parmap.map}); findings keep their deterministic order.
     [deadline] is one shared wall-clock budget across all subjects and
     domains — checks not started before it passes report [Limited]. *)
 

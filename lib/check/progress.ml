@@ -1,5 +1,7 @@
 open Subc_sim
 
+(* The outcome of the wait-freedom search, before it becomes a
+   [Verdict.t]. *)
 type certificate = {
   solo_bound : int;
   configs : int;
@@ -10,27 +12,6 @@ type failure =
   | Non_terminating of { proc : int; prefix : Trace.t; spin : Trace.t }
   | Hang of { proc : int; prefix : Trace.t; spin : Trace.t }
   | Limited of Explore.stats
-
-let pp_certificate ppf c =
-  Format.fprintf ppf
-    "wait-free: every process terminates within %d solo steps from every \
-     reachable configuration (%d configurations, %a)"
-    c.solo_bound c.configs Explore.pp_stats c.stats
-
-let pp_failure ppf = function
-  | Non_terminating { proc; prefix; spin } ->
-    Format.fprintf ppf
-      "@[<v>NOT wait-free: process %d does not terminate running solo after \
-       the %d-step prefix@,%a@,solo continuation (truncated):@,%a@]"
-      proc (Trace.length prefix) Trace.pp prefix Trace.pp spin
-  | Hang { proc; prefix; spin } ->
-    Format.fprintf ppf
-      "@[<v>NOT wait-free: process %d hangs (illegal invocation) running \
-       solo after the %d-step prefix@,%a@,solo continuation:@,%a@]"
-      proc (Trace.length prefix) Trace.pp prefix Trace.pp spin
-  | Limited stats ->
-    Format.fprintf ppf "exploration truncated — no verdict (%a)"
-      Explore.pp_stats stats
 
 exception Failed of failure
 
@@ -122,32 +103,6 @@ let wait_free_search ~options ~solo_limit store ~programs =
       }
   | exception Failed f -> Error f
 
-let wait_free ?max_states ?max_crashes ?max_recoveries ?deadline
-    ?(solo_limit = 10_000) ?reduction ?jobs ?visited store ~programs =
-  let options =
-    Search.of_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-      ?reduction ?jobs ?visited ()
-  in
-  wait_free_search ~options ~solo_limit store ~programs
-
-let t_resilient ?max_states ?reduction ~t store ~programs =
-  Subc_obs.Span.time "progress.t_resilient" @@ fun () ->
-  let config = Config.make store programs in
-  match Explore.find_cycle ?max_states ~max_crashes:t ?reduction config with
-  | Some _, _ ->
-    Error
-      (Printf.sprintf
-         "infinite schedule with <= %d crashes (not %d-resilient terminating)"
-         t t)
-  | None, stats ->
-    if stats.Explore.limited then Error "state limit reached — no verdict"
-    else if stats.Explore.hung_terminals > 0 then
-      Error "some execution hangs a process (illegal object use)"
-    else Ok stats
-
-(* Verdict-typed entry points (the canonical API; the result-typed
-   functions above remain as building blocks). *)
-
 let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
     ~programs =
   match wait_free_search ~options ~solo_limit store ~programs with
@@ -178,14 +133,6 @@ let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
           %d-step prefix"
          proc (Trace.length prefix))
 
-let check_wait_free_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-    ?solo_limit ?reduction ?jobs ?visited store ~programs =
-  check_wait_free
-    ~options:
-      (Search.of_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-         ?reduction ?jobs ?visited ())
-    ?solo_limit store ~programs
-
 let check_t_resilient ?(options = Search.default) ~t store ~programs =
   Subc_obs.Span.time "progress.t_resilient" @@ fun () ->
   let options = Search.with_max_crashes t options in
@@ -208,8 +155,3 @@ let check_t_resilient ?(options = Search.default) ~t store ~programs =
            "every schedule with <= %d crashes terminates (no cycles, no \
             hangs)"
            t)
-
-let check_t_resilient_legacy ?max_states ?reduction ~t store ~programs =
-  check_t_resilient
-    ~options:(Search.of_legacy ?max_states ?reduction ())
-    ~t store ~programs

@@ -1,72 +1,78 @@
-(* Multicore exploration: a frontier-splitting parallel driver for the
-   sequential explorer's transition relation.
+(* Multicore exploration: the one parallel driver for the sequential
+   explorer's transition relation, with hash-partitioned state
+   ownership, batched cross-partition frontier exchange and an optional
+   out-of-core (mmap-spilled) visited table per partition.
 
-   The driver seeds a work frontier by bounded breadth-first search from
-   the root (until roughly [4 * jobs] items are pending), distributes the
-   frontier round-robin across per-domain Chase–Lev deques ({!Ws_deque}),
-   then fans out across [jobs] domains.  Each domain runs depth-first
-   search over its own deque (LIFO bottom); a domain whose deque empties
-   steals from a randomly chosen victim's top (lock-free CAS).
-   Termination is the idle-counter protocol: a domain decrements the idle
-   counter {e before} every steal attempt and re-increments on failure,
-   so [idle = jobs] can only be observed when every deque is empty and no
-   domain holds work — at that point the search space is exhausted.
+   Every search node is {e owned} by exactly one of [partitions]
+   partitions (default 1), chosen by a pure hash of its claim key (the
+   fingerprint of the canonical (state, sleep) pair; with reductions off
+   this is literally the state's fingerprint lane).  Each partition owns
+   a private visited table ({!visited}) plus [jobs / partitions] worker
+   domains with per-worker Chase–Lev deques ({!Ws_deque}).  A worker
+   runs depth-first search over its own deque (LIFO bottom) and, when it
+   empties, steals from a random sibling's top (lock-free CAS); stealing
+   stays inside the partition, and work crosses a partition boundary
+   exactly once, as a batch.  At one partition every successor routes
+   to its producer's own partition, so the batch code stays idle.
 
-   Deduplication goes through one of three visited tables ({!visited}):
+   A node is {e claimed} exactly once, by whichever worker's claim lands
+   first in its owner's visited table (the representations are listed
+   in the interface; [~paranoid] exact keys force the sharded one); only
+   the claimer expands it, so every node is expanded at most once and
+   the explored graph is exactly the sequential one.
 
-   - [Lockfree] (default): a single open-addressed claim table
-     ({!Claim_table}, [`Two_lane]) storing both fingerprint lanes in
-     [Atomic] slot words — CAS claim-once, no mutex on the hot path,
-     effective 124-bit keys.
-   - [Compressed]: the same claim table in [`Folded] mode — one mixed
-     62-bit word per state, half the memory; the birthday collision
-     bound is surfaced in [stats.collision_bound].
-   - [Sharded]: the historical mutex-sharded [Fingerprint.Ktbl] tables,
-     kept as the comparison baseline and as the exact-key path:
-     [~paranoid] stores full canonical keys, which only this
-     representation can hold, so paranoid runs use it regardless of the
-     requested mode.
+   {b Producer-side keys.}  The producer of a successor computes its
+   claim key (it holds the materialized successor configuration anyway,
+   straight out of [Explore.source_successors]) and the routing follows
+   from it.  The work item then travels delta-encoded ({!Config.Delta})
+   with the key attached, so the owner claims without materializing
+   anything: a duplicate — local or from another partition — is
+   rejected on the strength of the carried key alone, and an item is
+   materialized only when its claim wins.  Pending cross-partition items
+   are additionally deduplicated {e inside} each batch buffer by their
+   folded 62-bit word ([Claim_table.fold_key]) before they are sent: an
+   item whose full fingerprint matches a buffered one is dropped and
+   counted as the dedup hit it would have become.
 
-   A state is {e claimed} exactly once, by whichever domain's claim
-   lands first; only the claimer expands the state, so every state is
-   expanded at most once and the explored graph is exactly the
-   sequential one.
+   {b Batched exchange.}  Each worker keeps one buffer per destination
+   partition; a buffer flushes into the destination's mutex-protected
+   inbox when it reaches [?batch_size] items (default 64) or when the
+   worker goes idle, so a starved partition never waits on a half-full
+   buffer held by a busy peer.  Owners drain their inbox into their own
+   deque whenever their deque empties.
 
-   What is deterministic and what is not (see DESIGN.md "Parallel
-   exploration"): [states], [transitions], [terminals], [hung_terminals]
-   and [crashed_terminals] are schedule-independent — claim-once
-   partitions the same reachable set, and each claimed state contributes
-   its fixed out-degree — so they agree with the sequential explorer on
-   acyclic state graphs (all one-shot bounded algorithms).  [max_depth],
-   [dedup_hits] and the specific witness traces depend on the race for
-   claims; checkers built on this module return deterministic verdicts
-   with possibly different (equally valid) witnesses.
+   {b Termination: a global credit counter.}  [in_flight] counts every
+   work item in existence (deques, batch buffers, inboxes, the seed
+   queue), incremented {e before} an item becomes reachable and
+   decremented only after it is fully processed (its children counted
+   first).  [in_flight = 0] therefore proves global exhaustion — it can
+   never be observed while any item exists or is being expanded — and
+   an idle worker (empty deque, drained inbox, flushed buffers, failed
+   steals) that reads 0 ends the search.
 
-   Budget exactness: under [Lockfree]/[Compressed] a successful claim
-   draws a ticket from the global state counter; tickets below
-   [max_states] are counted ([`Fresh]), the first ticket at the budget
-   raises the stop flag and is {e not} counted — so a truncated search
-   reports exactly [max_states] states, matching the sequential engine
-   and the [Sharded] path (which checks the budget under the shard
-   lock).
+   {b Budget exactness.}  A successful claim draws a ticket from the one
+   shared state counter (claim first, ticket second); tickets below
+   [max_states] are counted, the first ticket at the budget raises the
+   stop flag and is {e not} counted — so a truncated search reports
+   exactly [max_states] states at any partition count, matching the
+   sequential engine.  Stop causes are first-cause-wins ([Budget],
+   [Deadline], a callback exception); workers poll between items.
 
-   Reductions: symmetry quotienting composes (the canonical key is
-   computed before the claim, so all orbit members race for one slot),
-   and so does the source-set partial-order reduction: work items carry
-   their sleep set, the visited key is the canonical {e (state, sleep)}
-   pair, and expansion ([Explore.source_successors] — the same function
-   the sequential DFS runs) is a deterministic function of that pair.
-   Claim-once on pairs therefore reproduces the stateless sleep-set
-   search tree with identical subtrees shared, whichever domain claims
-   each node and however the Chase–Lev steals interleave — a stolen
-   frame prunes exactly as an owner-executed one because everything the
-   pruning depends on travels inside the work item.  [source_skips] is
-   the per-key skip count summed over claimed keys, so it is as
-   deterministic as [states] and [transitions].
-   Cycle detection is not offered: back-edges are indistinguishable
-   from cross-edges without a per-domain DFS stack discipline, so
-   revisits count as [dedup_hits]; use the sequential
-   [Explore.find_cycle]. *)
+   {b Determinism} (see DESIGN.md, "Parallel exploration").  The
+   partition tables partition the claim-key space by a pure function of
+   the key, so the union of the per-partition claim-once sets is exactly
+   the single-table claim-once set; each claimed key is expanded by the
+   same pure function ([Explore.source_successors] of the canonical
+   (state, sleep) pair, the sleep set travelling inside the work item)
+   whichever worker or partition claims it and however steals and
+   batches interleave.  [states], [transitions], [terminals],
+   [hung_terminals], [crashed_terminals], [recovered_terminals],
+   [dedup_hits] and [source_skips] are therefore identical at any
+   [partitions] x [jobs] x reduction x fp mode.  [max_depth] and the
+   witness traces are racy.  Cycle detection is not offered: back-edges
+   are indistinguishable from cross-edges without a per-domain DFS
+   stack discipline, so revisits count as [dedup_hits]; use the
+   sequential [Explore.find_cycle]. *)
 
 module Obs = Subc_obs
 
@@ -102,35 +108,56 @@ let default_seq_threshold () =
     | None -> 4096)
   | None -> 4096
 
-(* [sleep] is the node's sleep set in the concrete coordinates of the
-   item's configuration — carried in the work item so a stolen subtree
-   prunes identically to an owner-executed one.
+type stop_cause = Budget | Deadline | Callback of exn
 
-   The configuration itself travels delta-encoded ([Config.Delta]): under
-   the incremental fingerprint mode each push extends the parent's chain
-   with the one-proc-slot/one-store-slot patch of its transition, so a
-   deque entry retains O(1) fresh words; under [Full] every item is a
-   materialized root (the historical representation).  [fp] is the
-   state's homomorphic fingerprint patched from the parent's — [Some]
-   exactly on the incremental symmetry-off lanes — which lets [claim]
-   skip both the materialization and the re-fold on the hot path. *)
-type work = {
-  delta : Config.Delta.t;
-  fp : Fingerprint.t option;
-  rev_trace : Trace.event list;
-  depth : int;
-  sleep : Explore.tr list;
-}
+(* Mutex shards per partition for the [Sharded] table: 128 in total,
+   at least 32 per partition. *)
+let shards_per_part n_parts = max 32 (128 / n_parts)
 
 type shard = { lock : Mutex.t; tbl : unit Fingerprint.Ktbl.t }
 
-let n_shards = 128
+type vtable =
+  | Shards of shard array
+  | Claims of Claim_table.t
+  | Spill of Spill_table.t
 
-type vtable = Shards of shard array | Claims of Claim_table.t
+(* A work item carries everything its owner needs to claim and expand it
+   without re-deriving anything: the configuration, delta-encoded
+   ({!Config.Delta}: under the incremental fingerprint mode each push
+   extends the parent's chain with its transition's one-proc-slot /
+   one-store-slot patch, so an item retains O(1) fresh words; under
+   [Full] every item is a materialized root); the carried homomorphic
+   fingerprint ([Some] exactly on the incremental symmetry-off lanes,
+   for paranoid cross-validation and O(1) child patching); the
+   precomputed claim key; the canonicalizing renaming and
+   enabled-restricted sleep (the [Explore.source_successors] inputs —
+   carried so a stolen subtree prunes identically to an owner-executed
+   one); and the owner partition its key routes to. *)
+type work = {
+  delta : Config.Delta.t;
+  fp : Fingerprint.t option;
+  ckey : Fingerprint.key;
+  owner : int;
+  pi : Symmetry.perm option;
+  rsleep : Explore.tr list;
+  rev_trace : Trace.event list;
+  depth : int;
+}
 
-type stop_cause = Budget | Deadline | Callback of exn
+type inbox = {
+  m : Mutex.t;
+  mutable batches : work list list;
+  n_items : int Atomic.t; (* lock-free emptiness fast path + sampling *)
+}
 
-(* Per-domain statistics; merged after join (sums, except [max_depth]). *)
+type part = {
+  table : vtable;
+  deques : work Ws_deque.t array; (* one per local worker *)
+  inbox : inbox;
+}
+
+(* Per-worker statistics, merged after the join (sums except
+   [max_depth]). *)
 type dstats = {
   mutable states : int;
   mutable transitions : int;
@@ -145,10 +172,12 @@ type dstats = {
   mutable fp_refolds : int;
   mutable fp_mismatches : int;
   mutable pushed_items : int;
-  mutable pushed_words : int; (* unique-retention estimate of pushed work *)
+  mutable pushed_words : int;
   mutable depth_limited : bool;
   mutable steals : int;
   mutable contention : int;
+  mutable batches_sent : int;
+  mutable batch_bytes : int;
   claim : Claim_table.opstats; (* probes + CAS retries, all hot paths *)
   mutable seconds : float;
 }
@@ -172,86 +201,121 @@ let fresh_dstats () =
     depth_limited = false;
     steals = 0;
     contention = 0;
+    batches_sent = 0;
+    batch_bytes = 0;
     claim = Claim_table.fresh_opstats ();
     seconds = 0.0;
   }
 
 type global = {
-  table : vtable;
+  parts : part array;
+  n_parts : int;
+  batch_size : int;
+  spill : string option;
   visited : visited;
-  deques : work Ws_deque.t array;
-  idle : int Atomic.t;
-  finished : bool Atomic.t;
   stop : stop_cause option Atomic.t;
+  finished : bool Atomic.t;
+  in_flight : int Atomic.t; (* the credit counter; see the header *)
   n_states : int Atomic.t;
   max_states : int;
   depth_limit : int;
   max_crashes : int;
   max_recoveries : int;
-  deadline_at : float; (* absolute wall clock, or infinity *)
-  (* Collision-bound threshold above which a folded (compressed) claim
-     table escalates to two-lane keys; <= 0 disables.  [escalated]
-     makes the stderr note and the metric fire once. *)
+  deadline_at : float;
   escalate_threshold : float;
   escalated : bool Atomic.t;
   reduction : Explore.reduction;
   paranoid : bool;
   fp_mode : Explore.fp_mode;
-  (* Peak total deque population, sampled every 256 processed items —
-     the frontier-memory gauge's item count. *)
   frontier_peak : int Atomic.t;
-  jobs : int;
   cb_lock : Mutex.t;
   on_terminal : Config.t -> Trace.t -> unit;
   on_visit : Config.t -> Trace.t Lazy.t -> unit;
 }
 
-type ctx = {
-  g : global;
-  id : int; (* owner index into [deques]; the seeder uses 0 pre-spawn *)
-  stats : dstats;
-  commute : Explore.commute_cache; (* per-domain independence memo *)
-  mutable rng : int; (* xorshift state for victim selection *)
-  mutable tick : int; (* items processed; deadline poll every 256 *)
-  push : work -> unit;
+(* Per-destination batch buffer.  [keys] is the compressed-key batch
+   dedup: folded 62-bit word -> full lanes of the buffered item. *)
+type buffer = {
+  mutable items : work list;
+  mutable count : int;
+  mutable words : int;
+  keys : (int, int * int) Hashtbl.t;
 }
 
-(* First cause wins; workers poll [stop] between items and inside the
-   steal loop, so no wake-up broadcast is needed. *)
+type ctx = {
+  g : global;
+  pid : int; (* owning partition *)
+  wid : int; (* deque index within the partition *)
+  stats : dstats;
+  commute : Explore.commute_cache;
+  bufs : buffer array; (* one per destination; [||] for the seeder *)
+  mutable rng : int;
+  mutable tick : int;
+  mutable route_push : int -> work -> unit; (* owner -> item -> () *)
+}
+
 let set_stop g cause = ignore (Atomic.compare_and_set g.stop None (Some cause))
 
-(* Claim [config]'s canonical (state, sleep) key.  [`Fresh (pi, sleep)]
-   means this domain owns the node and must expand it — [pi] is the
-   canonicalizing renaming and [sleep] the enabled-restricted concrete
-   sleep set, both fed to [Explore.source_successors]; [`Dup] means
-   another claim got there first; [`Budget] means the global state budget
-   is exhausted — the node is left uncounted, so a truncated search
-   reports exactly [max_states] states, like the sequential explorer. *)
-let claim ctx item config =
+(* Ownership routing: a pure, well-mixed function of the claim key.
+   With reductions off the claim key {e is} the state's fingerprint, so
+   this is hash-partitioned state ownership by fingerprint lane; under
+   reductions it partitions (state, sleep) nodes, which is exactly the
+   granularity the claim-once argument needs. *)
+let[@inline] route key n =
+  if n <= 1 then 0
+  else
+    let x = Fingerprint.key_hash key in
+    Claim_table.fold_key x (x lxor 0x9E3779B97F4A7C5) land max_int mod n
+
+(* The claim key, canonicalizing renaming and restricted sleep of a
+   configuration — computed by the producer, which already holds the
+   materialized configuration.  The incremental fast path: the carried
+   fingerprint IS the claim key (extended with the relevant sleep when
+   source sets are on), so no re-fold is needed. *)
+let make_key g fp config ~sleep =
+  match fp with
+  | Some f when not g.paranoid ->
+    if g.reduction.Explore.source_sets && sleep <> [] then
+      let fp', pi, rs =
+        Explore.source_fingerprint_from f g.reduction
+          ~max_crashes:g.max_crashes config ~sleep
+      in
+      (Fingerprint.Fp fp', pi, rs)
+    else (Fingerprint.Fp f, None, [])
+  | _ ->
+    Explore.source_key ~paranoid:g.paranoid g.reduction
+      ~max_crashes:g.max_crashes config ~sleep
+
+(* Claim [item]'s key in its owner partition's table.  [`Fresh] means
+   this worker owns the node and must expand it; [`Dup] means another
+   claim got there first; [`Budget] means the global state budget is
+   exhausted — the node is left uncounted.  Claim first, ticket second
+   (on the shared [n_states]): every ticket below the budget goes to
+   exactly one successful claim, so a truncated run reports exactly
+   [max_states] states at any partition count. *)
+let claim ctx item =
   let g = ctx.g in
-  (* Incremental fast path: the carried fingerprint IS the claim key
-     (extended with the relevant sleep when source sets are on), so a
-     duplicate is rejected without materializing the delta chain and
-     without any re-fold.  Materialization is forced only when the sleep
-     restriction needs the configuration, or on the exact/symmetry
-     paths. *)
-  match g.table with
-  | Shards shards ->
-    let key, pi, sleep =
-      match item.fp with
-      | Some f when not g.paranoid ->
-        if g.reduction.Explore.source_sets && item.sleep <> [] then
-          let fp, pi, sleep =
-            Explore.source_fingerprint_from f g.reduction
-              ~max_crashes:g.max_crashes (Lazy.force config) ~sleep:item.sleep
-          in
-          (Fingerprint.Fp fp, pi, sleep)
-        else (Fingerprint.Fp f, None, [])
-      | _ ->
-        Explore.source_key ~paranoid:g.paranoid g.reduction
-          ~max_crashes:g.max_crashes (Lazy.force config) ~sleep:item.sleep
-    in
-    let sh = shards.(Fingerprint.shard_index key mod n_shards) in
+  let ticket () =
+    if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
+    else `Fresh
+  in
+  match (g.parts.(item.owner).table, item.ckey) with
+  | Claims t, Fingerprint.Fp f -> (
+    match
+      Claim_table.claim t ctx.stats.claim ~h1:f.Fingerprint.h1
+        ~h2:f.Fingerprint.h2
+    with
+    | `Dup -> `Dup
+    | `Fresh -> ticket ())
+  | Spill s, Fingerprint.Fp f -> (
+    match
+      Spill_table.claim s ctx.stats.claim ~h1:f.Fingerprint.h1
+        ~h2:f.Fingerprint.h2
+    with
+    | `Dup -> `Dup
+    | `Fresh -> ticket ())
+  | Shards shards, key ->
+    let sh = shards.(Fingerprint.shard_index key mod Array.length shards) in
     if not (Mutex.try_lock sh.lock) then begin
       ctx.stats.contention <- ctx.stats.contention + 1;
       Mutex.lock sh.lock
@@ -261,46 +325,27 @@ let claim ctx item config =
       else if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
       else begin
         Fingerprint.Ktbl.add sh.tbl key ();
-        `Fresh (pi, sleep)
+        `Fresh
       end
     in
     Mutex.unlock sh.lock;
     r
-  | Claims t -> (
-    let fp, pi, sleep =
-      match item.fp with
-      | Some f ->
-        if g.reduction.Explore.source_sets && item.sleep <> [] then
-          Explore.source_fingerprint_from f g.reduction
-            ~max_crashes:g.max_crashes (Lazy.force config) ~sleep:item.sleep
-        else (f, None, [])
-      | None ->
-        Explore.source_fingerprint g.reduction ~max_crashes:g.max_crashes
-          (Lazy.force config) ~sleep:item.sleep
-    in
-    match
-      Claim_table.claim t ctx.stats.claim ~h1:fp.Fingerprint.h1
-        ~h2:fp.Fingerprint.h2
-    with
-    | `Dup -> `Dup
-    | `Fresh ->
-      (* Claim first, ticket second: every ticket below the budget goes
-         to exactly one successful claim, so the counted states of a
-         truncated run are exactly [max_states]. *)
-      if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
-      else `Fresh (pi, sleep))
+  | (Claims _ | Spill _), Fingerprint.Exact _ ->
+    (* Exact keys only arise under [~paranoid], which forces [Shards]. *)
+    assert false
 
 let m_escalated = Obs.Metrics.counter "parallel.visited_escalated"
 
-(* Auto-escalation: every 256 fresh states per domain, if the claim table
-   is still folded and the 62-bit birthday bound over the global state
-   count has crossed the threshold, flip it to two-lane.  [escalate] is
-   idempotent and racing domains are harmless; the note and the metric
-   fire once via the [escalated] CAS. *)
-let maybe_escalate ctx =
+(* Auto-escalation, per owner table: every 256 fresh states per worker,
+   if the claim table is still folded and the 62-bit birthday bound over
+   the global state count (conservative — each table holds a subset) has
+   crossed the threshold, flip it to two-lane.  [escalate] is idempotent
+   and racing workers are harmless; the note and the metric fire once
+   via the [escalated] CAS. *)
+let maybe_escalate ctx owner =
   let g = ctx.g in
   if g.escalate_threshold > 0.0 && ctx.stats.states land 255 = 0 then
-    match g.table with
+    match g.parts.(owner).table with
     | Claims t when Claim_table.is_folded t ->
       let n = Atomic.get g.n_states in
       let bound = Explore.collision_bound ~bits:62 ~states:n in
@@ -309,17 +354,69 @@ let maybe_escalate ctx =
         if Atomic.compare_and_set g.escalated false true then begin
           Obs.Metrics.incr m_escalated;
           Printf.eprintf
-            "subconsensus: compressed visited table escalated to lockfree at \
-             %d states (collision bound %.2g > %.2g)\n\
+            "subconsensus: compressed visited table (partition %d) \
+             escalated to lockfree at %d states (collision bound %.2g > \
+             %.2g)\n\
              %!"
-            n bound g.escalate_threshold
+            owner n bound g.escalate_threshold
         end
       end
-    | Claims _ | Shards _ -> ()
+    | Claims _ | Shards _ | Spill _ -> ()
 
-(* Expand one work item.  Exceptions from user callbacks propagate to the
-   caller (the worker loop converts them into a stop cause); no lock is
-   held while a callback runs. *)
+(* Flush one destination buffer into its partition's inbox. *)
+let flush ctx dest =
+  let b = ctx.bufs.(dest) in
+  if b.count > 0 then begin
+    let inbox = ctx.g.parts.(dest).inbox in
+    Mutex.lock inbox.m;
+    inbox.batches <- b.items :: inbox.batches;
+    Atomic.fetch_and_add inbox.n_items b.count |> ignore;
+    Mutex.unlock inbox.m;
+    ctx.stats.batches_sent <- ctx.stats.batches_sent + 1;
+    (* Item overhead (list cons + record header + key) plus the deltas'
+       unique retention — the bytes the batch actually moves. *)
+    ctx.stats.batch_bytes <- ctx.stats.batch_bytes + (8 * (b.words + (10 * b.count)));
+    b.items <- [];
+    b.count <- 0;
+    b.words <- 0;
+    Hashtbl.reset b.keys
+  end
+
+let flush_all ctx =
+  Array.iteri (fun dest _ -> flush ctx dest) ctx.bufs
+
+(* Buffer a cross-partition item, deduplicating by compressed key: a
+   pending item whose full fingerprint matches a buffered one can only
+   become a [`Dup] at the owner, so it is dropped here and counted as
+   the dedup hit it would have been — same totals, fewer resident
+   items.  Exact (paranoid) keys skip the compression. *)
+let buffer_add ctx dest w =
+  let b = ctx.bufs.(dest) in
+  let dropped =
+    match w.ckey with
+    | Fingerprint.Fp f -> (
+      let folded = Claim_table.fold_key f.Fingerprint.h1 f.Fingerprint.h2 in
+      match Hashtbl.find_opt b.keys folded with
+      | Some (h1, h2) -> h1 = f.Fingerprint.h1 && h2 = f.Fingerprint.h2
+      | None ->
+        Hashtbl.add b.keys folded (f.Fingerprint.h1, f.Fingerprint.h2);
+        false)
+    | Fingerprint.Exact _ -> false
+  in
+  if dropped then ctx.stats.dedup_hits <- ctx.stats.dedup_hits + 1
+  else begin
+    Atomic.incr ctx.g.in_flight;
+    b.items <- w :: b.items;
+    b.count <- b.count + 1;
+    b.words <- b.words + 7 + Config.Delta.approx_words w.delta;
+    if b.count >= ctx.g.batch_size then flush ctx dest
+  end
+
+(* Expand one claimed-or-not work item; the caller decrements
+   [in_flight] after this returns (children are counted inside, so the
+   counter can never be observed at zero mid-expansion).  Exceptions
+   from user callbacks propagate to the caller (the worker loop converts
+   them into a stop cause); no lock is held while [on_visit] runs. *)
 let process ctx item =
   let g = ctx.g in
   ctx.tick <- ctx.tick + 1;
@@ -328,7 +425,13 @@ let process ctx item =
       set_stop g Deadline;
     (* Sample the frontier population for the peak gauge. *)
     let sz =
-      Array.fold_left (fun acc d -> acc + Ws_deque.size d) 0 g.deques
+      Array.fold_left
+        (fun acc (p : part) ->
+          Array.fold_left
+            (fun a d -> a + Ws_deque.size d)
+            (acc + Atomic.get p.inbox.n_items)
+            p.deques)
+        0 g.parts
     in
     let rec bump () =
       let cur = Atomic.get g.frontier_peak in
@@ -340,14 +443,15 @@ let process ctx item =
   if item.depth > ctx.stats.max_depth then ctx.stats.max_depth <- item.depth;
   if item.depth > g.depth_limit then ctx.stats.depth_limited <- true
   else
-    let config = lazy (Config.Delta.materialize item.delta) in
-    match claim ctx item config with
+    match claim ctx item with
     | `Dup -> ctx.stats.dedup_hits <- ctx.stats.dedup_hits + 1
     | `Budget -> set_stop g Budget
-    | `Fresh (pi, sleep) ->
-      let config = Lazy.force config in
+    | `Fresh ->
+      (* Only a winning claim materializes: cross-partition duplicates
+         die as carried keys, never as configurations. *)
+      let config = Config.Delta.materialize item.delta in
       ctx.stats.states <- ctx.stats.states + 1;
-      maybe_escalate ctx;
+      maybe_escalate ctx item.owner;
       (* Paranoid cross-validation of the carried incremental
          fingerprint against a full homomorphic re-fold (mirrors the
          sequential DFS; any mismatch fails the run after the join). *)
@@ -360,9 +464,9 @@ let process ctx item =
       g.on_visit config (lazy (List.rev item.rev_trace));
       (* Terminal for the processes, not necessarily for the search:
          with recovery budget left, the adversary may still revive a
-         crashed process (the sequential explorer does the same).  A
-         terminal's relevant sleep is empty, so it claims by state alone
-         and this fires exactly once per terminal configuration. *)
+         crashed process.  A terminal's relevant sleep is empty, so it
+         claims by state alone and this fires exactly once per terminal
+         configuration. *)
       if Config.running config = [] then begin
         ctx.stats.terminals <- ctx.stats.terminals + 1;
         if Config.any_hung config then
@@ -378,12 +482,11 @@ let process ctx item =
       end;
       (* The same expansion the sequential DFS runs: enabled transition
          bundles in canonical sibling order, each with the sleep set its
-         children inherit.  Deterministic per claimed key, so pushes are
-         schedule-independent however the deques drain. *)
+         children inherit — deterministic per claimed key. *)
       let groups, skips =
-        Explore.source_successors ctx.commute g.reduction ~pi
+        Explore.source_successors ctx.commute g.reduction ~pi:item.pi
           ~max_crashes:g.max_crashes ~max_recoveries:g.max_recoveries config
-          ~sleep
+          ~sleep:item.rsleep
       in
       ctx.stats.source_skips <- ctx.stats.source_skips + skips;
       List.iter
@@ -409,19 +512,45 @@ let process ctx item =
                     ~proc_sets:[ (i, config'.Config.procs.(i)) ]
                     ~store_sets:slots.Step.sl_store
               in
+              let ckey, pi, rsleep =
+                make_key g fp' config' ~sleep:grp.Explore.g_sleep
+              in
+              let owner = route ckey g.n_parts in
               ctx.stats.pushed_items <- ctx.stats.pushed_items + 1;
               ctx.stats.pushed_words <-
                 ctx.stats.pushed_words + 7 + Config.Delta.approx_words delta';
-              ctx.push
+              ctx.route_push owner
                 {
                   delta = delta';
                   fp = fp';
+                  ckey;
+                  owner;
+                  pi;
+                  rsleep;
                   rev_trace = event :: item.rev_trace;
                   depth = item.depth + 1;
-                  sleep = grp.Explore.g_sleep;
                 })
             grp.Explore.g_succs)
         groups
+
+(* Drain this partition's inbox into the calling worker's own deque.
+   Returns whether anything arrived. *)
+let drain_inbox ctx =
+  let inbox = ctx.g.parts.(ctx.pid).inbox in
+  if Atomic.get inbox.n_items = 0 then false
+  else begin
+    Mutex.lock inbox.m;
+    let batches = inbox.batches in
+    inbox.batches <- [];
+    Atomic.set inbox.n_items 0;
+    Mutex.unlock inbox.m;
+    match batches with
+    | [] -> false
+    | _ ->
+      let deque = ctx.g.parts.(ctx.pid).deques.(ctx.wid) in
+      List.iter (List.iter (fun w -> Ws_deque.push deque w)) batches;
+      true
+  end
 
 let[@inline] next_rand ctx =
   let x = ctx.rng in
@@ -432,11 +561,13 @@ let[@inline] next_rand ctx =
   ctx.rng <- (if x = 0 then 0x9E3779B9 else x);
   ctx.rng
 
-(* A victim with apparently pending work, scanning all peers from a
-   random start — [None] when every other deque looks empty. *)
-let pick_victim ctx =
-  let g = ctx.g in
-  let n = g.jobs in
+(* One steal sweep over the sibling deques of this partition (ownership
+   confines stealing: cross-partition work moves only through batches).
+   [None] after a full unsuccessful sweep — the worker's outer loop
+   re-checks the inbox and the credit counter and spins. *)
+let steal ctx =
+  let deques = ctx.g.parts.(ctx.pid).deques in
+  let n = Array.length deques in
   if n <= 1 then None
   else begin
     let start = next_rand ctx mod n in
@@ -444,74 +575,54 @@ let pick_victim ctx =
       if k = n then None
       else
         let v = (start + k) mod n in
-        if v <> ctx.id && Ws_deque.size g.deques.(v) > 0 then Some v
-        else go (k + 1)
+        if v = ctx.wid || Ws_deque.size deques.(v) = 0 then go (k + 1)
+        else
+          match Ws_deque.steal deques.(v) with
+          | `Stolen w ->
+            ctx.stats.steals <- ctx.stats.steals + 1;
+            Some w
+          | `Empty -> go (k + 1)
+          | `Retry ->
+            ctx.stats.claim.Claim_table.cas_retries <-
+              ctx.stats.claim.Claim_table.cas_retries + 1;
+            go k
     in
     go 0
   end
 
-(* Steal with idle-counter termination.  The domain is counted idle
-   whenever it holds no work; it decrements {e before} a steal attempt
-   and re-increments on failure, so observing [idle = jobs] proves every
-   domain is workless — and a workless owner's deque is empty (only the
-   owner pushes), so nothing remains anywhere and the search is done. *)
-let acquire ctx =
-  let g = ctx.g in
-  Atomic.incr g.idle;
-  let rec scan () =
-    if Atomic.get g.stop <> None || Atomic.get g.finished then begin
-      Atomic.decr g.idle;
-      None
-    end
-    else
-      match pick_victim ctx with
-      | Some v -> (
-        Atomic.decr g.idle;
-        match Ws_deque.steal g.deques.(v) with
-        | `Stolen w ->
-          ctx.stats.steals <- ctx.stats.steals + 1;
-          Some w
-        | `Empty ->
-          Atomic.incr g.idle;
-          Domain.cpu_relax ();
-          scan ()
-        | `Retry ->
-          ctx.stats.claim.Claim_table.cas_retries <-
-            ctx.stats.claim.Claim_table.cas_retries + 1;
-          Atomic.incr g.idle;
-          scan ())
-      | None ->
-        if Atomic.get g.idle = g.jobs then begin
-          Atomic.set g.finished true;
-          Atomic.decr g.idle;
-          None
-        end
-        else begin
-          Domain.cpu_relax ();
-          scan ()
-        end
-  in
-  scan ()
-
 let rec worker ctx =
-  if Atomic.get ctx.g.stop <> None then ()
+  let g = ctx.g in
+  if Atomic.get g.stop <> None || Atomic.get g.finished then ()
   else
-    match Ws_deque.pop ctx.g.deques.(ctx.id) with
+    match Ws_deque.pop g.parts.(ctx.pid).deques.(ctx.wid) with
     | Some item ->
-      (try process ctx item with e -> set_stop ctx.g (Callback e));
+      (try process ctx item with e -> set_stop g (Callback e));
+      Atomic.decr g.in_flight;
       worker ctx
-    | None -> (
-      match acquire ctx with
-      | Some item ->
-        (try process ctx item with e -> set_stop ctx.g (Callback e));
-        worker ctx
-      | None -> ())
+    | None ->
+      if drain_inbox ctx then worker ctx
+      else begin
+        (* Idle: publish everything we are holding before drawing any
+           conclusion — a buffered batch must not starve its owner. *)
+        flush_all ctx;
+        match steal ctx with
+        | Some item ->
+          (try process ctx item with e -> set_stop g (Callback e));
+          Atomic.decr g.in_flight;
+          worker ctx
+        | None ->
+          if Atomic.get g.in_flight = 0 then Atomic.set g.finished true
+          else Domain.cpu_relax ();
+          worker ctx
+      end
 
-(* Collision bound for a claim table, piecewise after an escalation:
+(* Collision bound for one claim table, piecewise after an escalation:
    a state is missed when its words match an earlier entry, so pairs
    whose earlier member sits in a folded segment collide at 2^-62 and
    purely two-lane pairs at 2^-124.  With no escalation this reduces to
-   the plain single-width birthday bound. *)
+   the plain single-width birthday bound.  Summed over partitions: keys
+   never compare across tables, so the per-table pair bounds
+   union-bound the whole run. *)
 let claims_bound t ~states =
   let nf = min (Claim_table.folded_occupancy t) states in
   let nt = states - nf in
@@ -519,6 +630,56 @@ let claims_bound t ~states =
   min 1.0
     ((((fnf *. (fnf -. 1.0) /. 2.0) +. (fnf *. fnt)) *. ldexp 1.0 (-62))
     +. (fnt *. (fnt -. 1.0) /. 2.0 *. ldexp 1.0 (-124)))
+
+let collision_bound g ~states =
+  if g.paranoid then 0.0
+  else
+    min 1.0
+      (Array.fold_left
+         (fun acc p ->
+           acc
+           +.
+           match p.table with
+           | Shards _ ->
+             (* Conservative: charge the whole run at the fingerprint
+                width (pairs across partitions never actually meet). *)
+             Explore.collision_bound ~bits:Explore.fingerprint_bits ~states
+             /. float_of_int g.n_parts
+           | Claims t ->
+             claims_bound t ~states:(min states (Claim_table.occupancy t))
+           | Spill s ->
+             Explore.collision_bound ~bits:62
+               ~states:(Spill_table.occupancy s))
+         0.0 g.parts)
+
+(* Approximate footprint of the visited sets, for the bench's
+   memory-per-state comparison: analytic for the claim and spill tables
+   (a spill table's heap bookkeeping only), a bucket+cons+key estimate
+   for the sharded hashtables ([Fp] keys are a 3-word record; [Exact]
+   keys under paranoid hold whole key trees, not counted — paranoid is a
+   debug mode). *)
+let visited_bytes g =
+  Array.fold_left
+    (fun acc p ->
+      acc
+      +
+      match p.table with
+      | Claims t -> Claim_table.memory_bytes t
+      | Spill s -> Spill_table.memory_bytes s
+      | Shards shards ->
+        8
+        * Array.fold_left
+            (fun a sh ->
+              let s = Fingerprint.Ktbl.stats sh.tbl in
+              a + s.Hashtbl.num_buckets + (7 * s.Hashtbl.num_bindings))
+            0 shards)
+    0 g.parts
+
+let spill_bytes g =
+  Array.fold_left
+    (fun acc p ->
+      acc + match p.table with Spill s -> Spill_table.spill_bytes s | _ -> 0)
+    0 g.parts
 
 let merge_stats g (all : dstats list) =
   let sum f = List.fold_left (fun acc d -> acc + f d) 0 all in
@@ -553,85 +714,80 @@ let merge_stats g (all : dstats list) =
     dedup_hits = sum (fun d -> d.dedup_hits);
     source_skips = sum (fun d -> d.source_skips);
     cycles = 0;
-    collision_bound =
-      (if g.paranoid then 0.0
-       else
-         match g.table with
-         | Shards _ ->
-           Explore.collision_bound ~bits:Explore.fingerprint_bits ~states
-         | Claims t -> claims_bound t ~states);
+    collision_bound = collision_bound g ~states;
     limited = Explore.reason_truncates limit_reason;
     limit_reason;
   }
 
-(* Approximate footprint of the visited set, for the bench's
-   memory-per-state comparison: analytic for the claim table, a
-   bucket+cons+key estimate for the sharded hashtables ([Fp] keys are a
-   3-word record; [Exact] keys under paranoid hold whole key trees, not
-   counted — paranoid is a debug mode). *)
-let visited_bytes g =
-  match g.table with
-  | Claims t -> Claim_table.memory_bytes t
-  | Shards shards ->
-    8
-    * Array.fold_left
-        (fun acc sh ->
-          let s = Fingerprint.Ktbl.stats sh.tbl in
-          acc + s.Hashtbl.num_buckets + (7 * s.Hashtbl.num_bindings))
-        0 shards
-
 (* Observability: aggregate counters always; one "parallel" event with
-   per-domain breakdown when a sink is installed. *)
+   a per-worker breakdown when a sink is installed. *)
+let m_searches = Obs.Metrics.counter "parallel.searches"
 let m_states = Obs.Metrics.counter "parallel.states"
 let m_steals = Obs.Metrics.counter "parallel.steals"
 let m_probes = Obs.Metrics.counter "parallel.probes"
 let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
 let m_contention = Obs.Metrics.counter "parallel.shard_contention"
 let m_source = Obs.Metrics.counter "parallel.source_skips"
-let m_searches = Obs.Metrics.counter "parallel.searches"
+let m_batches_sent = Obs.Metrics.counter "parallel.batches_sent"
+let m_batch_bytes = Obs.Metrics.counter "parallel.batch_bytes"
+let m_spill_bytes = Obs.Metrics.counter "parallel.spill_bytes"
+let m_spill_probes = Obs.Metrics.counter "parallel.spill_probes"
 
 (* Same interned counters the sequential engine flushes into. *)
 let m_fp_patches = Obs.Metrics.counter "fp.patches"
 let m_fp_refolds = Obs.Metrics.counter "fp.refolds"
 let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
 
-(* [all] additionally carries the seeding pass's stats: fp patches and
-   re-folds happen there too, and the shared fp.* counters must cover
-   the whole search (the per-domain d0../steals breakdown below stays
-   worker-only). *)
-let emit_obs label g stats (dstats : dstats array) ~all dt =
+(* [all] is the seeding pass's stats followed by the workers'
+   ([workers]): the seeder claims, patches and re-folds through the same
+   path, so the aggregate counters cover the whole search, while the
+   per-worker d0.. breakdown of the event stays worker-only. *)
+let emit_obs label g stats ~workers ~all dt =
+  let spilling = g.spill <> None && not g.paranoid in
+  let total f = List.fold_left (fun a d -> a + f d) 0 all in
   Obs.Metrics.incr m_searches;
   Obs.Metrics.add m_states stats.Explore.states;
   Obs.Metrics.add m_source stats.Explore.source_skips;
-  Array.iter
+  List.iter
     (fun d ->
       Obs.Metrics.add m_steals d.steals;
       Obs.Metrics.add m_probes d.claim.Claim_table.probes;
       Obs.Metrics.add m_cas_retries d.claim.Claim_table.cas_retries;
-      Obs.Metrics.add m_contention d.contention)
-    dstats;
-  List.iter
-    (fun d ->
+      Obs.Metrics.add m_contention d.contention;
+      Obs.Metrics.add m_batches_sent d.batches_sent;
+      Obs.Metrics.add m_batch_bytes d.batch_bytes;
+      if spilling then
+        Obs.Metrics.add m_spill_probes d.claim.Claim_table.probes;
       Obs.Metrics.add m_fp_patches d.fp_patches;
       Obs.Metrics.add m_fp_refolds d.fp_refolds;
       Obs.Metrics.add m_fp_mismatches d.fp_mismatches)
     all;
+  Obs.Metrics.add m_spill_bytes (spill_bytes g);
   let rate = if dt > 0.0 then float_of_int stats.Explore.states /. dt else 0.0 in
   Obs.Metrics.set_gauge "parallel.states_per_sec" rate;
-  Obs.Metrics.set_gauge "parallel.visited_bytes" (float_of_int (visited_bytes g));
+  Obs.Metrics.set_gauge "parallel.visited_bytes"
+    (float_of_int (visited_bytes g));
   Obs.Metrics.set_gauge "explore.frontier_bytes"
     (float_of_int stats.Explore.frontier_bytes);
   if Obs.Sink.get () != Obs.Sink.null then
     Obs.Sink.emit "parallel"
       ([
          ("search", Obs.Sink.Str label);
-         ("jobs", Obs.Sink.Int g.jobs);
-         ("visited", Obs.Sink.Str (Format.asprintf "%a" pp_visited g.visited));
+         ("jobs", Obs.Sink.Int (Array.length workers));
+         ("partitions", Obs.Sink.Int g.n_parts);
+         ( "visited",
+           Obs.Sink.Str
+             (if spilling then "spill"
+              else Format.asprintf "%a" pp_visited g.visited) );
          ("states", Obs.Sink.Int stats.Explore.states);
          ("transitions", Obs.Sink.Int stats.Explore.transitions);
          ("terminals", Obs.Sink.Int stats.Explore.terminals);
          ("dedup_hits", Obs.Sink.Int stats.Explore.dedup_hits);
          ("source_skips", Obs.Sink.Int stats.Explore.source_skips);
+         ("batches_sent", Obs.Sink.Int (total (fun d -> d.batches_sent)));
+         ("batch_bytes", Obs.Sink.Int (total (fun d -> d.batch_bytes)));
+         ("visited_bytes", Obs.Sink.Int (visited_bytes g));
+         ("spill_bytes", Obs.Sink.Int (spill_bytes g));
          ("collision_bound", Obs.Sink.Float stats.Explore.collision_bound);
          ("limited", Obs.Sink.Bool stats.Explore.limited);
          ("seconds", Obs.Sink.Float dt);
@@ -654,21 +810,25 @@ let emit_obs label g stats (dstats : dstats array) ~all dt =
                    Obs.Sink.Int d.claim.Claim_table.cas_retries );
                  (pfx ^ "contention", Obs.Sink.Int d.contention);
                ])
-             (Array.to_list dstats)))
+             (Array.to_list workers)))
+
+let fresh_buffers n =
+  Array.init n (fun _ ->
+      { items = []; count = 0; words = 0; keys = Hashtbl.create 64 })
 
 let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
     ?(max_crashes = 0) ?(max_recoveries = 0) ?deadline ?expected_states
     ?(escalate_threshold = 1e-6) ?(reduction = Explore.no_reduction)
-    ?(paranoid = false) ?fp ?seed_target ?seq_threshold ~jobs ~on_terminal
-    ~on_visit label config =
-  let jobs = max 1 jobs in
+    ?(paranoid = false) ?fp ?seed_target ?seq_threshold ?(batch_size = 64)
+    ?spill ?(partitions = 1) ~jobs ~on_terminal ~on_visit label config =
+  let n_parts = max 1 partitions in
+  let jobs_per_part = max 1 (max 1 jobs / n_parts) in
+  let n_workers = n_parts * jobs_per_part in
   let visited =
-    match visited with
-    | Some v -> v
-    | None -> Atomic.get default_visited_mode
+    match visited with Some v -> v | None -> default_visited ()
   in
-  (* Exact canonical keys only fit the hashtable representation, so
-     paranoid runs take the sharded path whatever mode was asked for. *)
+  (* Exact canonical keys under [~paranoid] only fit the hashtable
+     representation — it wins over both the visited mode and [?spill]. *)
   let visited = if paranoid then Sharded else visited in
   let fp_mode = match fp with Some m -> m | None -> Explore.default_fp () in
   (* The incremental lanes carry a homomorphic fingerprint only with
@@ -680,19 +840,10 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
       Some (Fingerprint.hom_of_config config)
     else None
   in
-  let root =
-    {
-      delta = Config.Delta.root config;
-      fp = root_fp;
-      rev_trace = [];
-      depth = 0;
-      sleep = [];
-    }
-  in
-  (* The auto-sequential fallback threshold, resolved early because it
-     also sizes the visited tables: when it is active and no
+  (* The auto-sequential fallback threshold, resolved before the tables
+     because it also sizes them: when it is active and no
      [?expected_states] hint says otherwise, the space is presumed small
-     until the seeder proves it big, so the tables start tiny (a
+     until the seeder proves it big, so each table starts tiny (a
      right-sized allocation costs more than the whole search on the
      small spaces the fallback exists for — segment-chained growth
      amortizes the big-space case). *)
@@ -704,34 +855,51 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
       | Some n -> max 0 n
       | None -> default_seq_threshold ())
   in
+  let shards () =
+    let slots = if threshold > 0 then 64 else 1024 in
+    Shards
+      (Array.init (shards_per_part n_parts) (fun _ ->
+           { lock = Mutex.create (); tbl = Fingerprint.Ktbl.create slots }))
+  in
+  let make_table pid =
+    match (visited, spill) with
+    | Sharded, _ when paranoid -> shards ()
+    | _, Some dir ->
+      Spill
+        (Spill_table.create
+           ?expected_states:
+             (Option.map (fun n -> max 64 (n / n_parts)) expected_states)
+           ~dir ~part:pid ())
+    | Sharded, None -> shards ()
+    | (Lockfree | Compressed), None ->
+      let mode = if visited = Compressed then `Folded else `Two_lane in
+      Claims
+        (match expected_states with
+        | Some n ->
+          Claim_table.create ~expected_states:(max 64 (n / n_parts)) mode
+        | None ->
+          Claim_table.create
+            ~initial_capacity:
+              (if threshold > 0 then 256 else max 256 (8192 / n_parts))
+            mode)
+  in
   let g =
     {
-      table =
-        (match visited with
-        | Sharded ->
-          let shard_slots = if threshold > 0 then 64 else 1024 in
-          Shards
-            (Array.init n_shards (fun _ ->
-                 {
-                   lock = Mutex.create ();
-                   tbl = Fingerprint.Ktbl.create shard_slots;
-                 }))
-        | Lockfree | Compressed ->
-          let mode =
-            match visited with Compressed -> `Folded | _ -> `Two_lane
-          in
-          Claims
-            (match expected_states with
-            | Some _ -> Claim_table.create ?expected_states mode
-            | None ->
-              Claim_table.create
-                ~initial_capacity:(if threshold > 0 then 256 else 8192)
-                mode));
+      parts =
+        Array.init n_parts (fun pid ->
+            {
+              table = make_table pid;
+              deques = [||] (* placed after the root exists, for ~dummy *);
+              inbox =
+                { m = Mutex.create (); batches = []; n_items = Atomic.make 0 };
+            });
+      n_parts;
+      batch_size = max 1 batch_size;
+      spill;
       visited;
-      deques = Array.init jobs (fun _ -> Ws_deque.create ~dummy:root ());
-      idle = Atomic.make 0;
-      finished = Atomic.make false;
       stop = Atomic.make None;
+      finished = Atomic.make false;
+      in_flight = Atomic.make 1 (* the root *);
       n_states = Atomic.make 0;
       max_states;
       depth_limit = max_depth;
@@ -747,77 +915,123 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
       paranoid;
       fp_mode;
       frontier_peak = Atomic.make 0;
-      jobs;
       cb_lock = Mutex.create ();
       on_terminal;
       on_visit;
     }
   in
+  let rkey, rpi, rsleep = make_key g root_fp config ~sleep:[] in
+  let root =
+    {
+      delta = Config.Delta.root config;
+      fp = root_fp;
+      ckey = rkey;
+      owner = route rkey n_parts;
+      pi = rpi;
+      rsleep;
+      rev_trace = [];
+      depth = 0;
+    }
+  in
+  let parts =
+    Array.map
+      (fun p ->
+        {
+          p with
+          deques =
+            Array.init jobs_per_part (fun _ -> Ws_deque.create ~dummy:root ());
+        })
+      g.parts
+  in
+  let g = { g with parts } in
   let t0 = Unix.gettimeofday () in
   let queue = Queue.create () in
   Queue.push root queue;
-  (* Seed: bounded BFS on the main domain until the frontier is wide
-     enough to keep [jobs] domains busy.  The seeder claims and counts
-     states through the same [process] path the workers use. *)
+  (* Seed: bounded BFS on the main domain, claiming into each item's
+     owner table through the same [process] path the workers use
+     (single-threaded, so no batching is needed yet), until the frontier
+     is wide enough for every worker {e and} the sequential-fallback
+     threshold is crossed — spaces smaller than the threshold finish
+     right here and never pay a domain spawn.  [?seed_target] shrinks
+     (or widens) the seeded frontier; the stress tests set it to 1 so
+     nearly all distribution happens through steals of freshly pushed
+     work. *)
+  let target =
+    match seed_target with Some t -> max 1 t | None -> 4 * n_workers
+  in
   let seed_stats = fresh_dstats () in
   if root_fp <> None then seed_stats.fp_refolds <- 1;
   let seed_ctx =
     {
       g;
-      id = 0;
+      pid = 0;
+      wid = 0;
       stats = seed_stats;
       commute = Explore.commute_cache ();
+      bufs = [||];
       rng = 0x9E3779B9;
       tick = 0;
-      push = (fun w -> Queue.push w queue);
+      route_push = (fun _ _ -> assert false);
     }
   in
-  (* [?seed_target] shrinks (or widens) the seeded frontier; the stress
-     tests set it to 1 so nearly all distribution happens through steals
-     of freshly pushed work rather than the round-robin seeding.  Setting
-     it also disables the sequential-fallback threshold — such callers
-     want the domains regardless of the space's size. *)
-  let target = match seed_target with Some t -> max 1 t | None -> 4 * jobs in
+  seed_ctx.route_push <-
+    (fun _ w ->
+      Atomic.incr g.in_flight;
+      Queue.push w queue);
   (try
      while
        (not (Queue.is_empty queue))
        && (Queue.length queue < target || seed_stats.states < threshold)
        && Atomic.get g.stop = None
      do
-       process seed_ctx (Queue.pop queue)
+       let item = Queue.pop queue in
+       process seed_ctx item;
+       Atomic.decr g.in_flight
      done
    with e -> set_stop g (Callback e));
   Explore.flush_commute_metrics seed_ctx.commute;
   seed_stats.seconds <- Unix.gettimeofday () -. t0;
-  let dstats = Array.init jobs (fun _ -> fresh_dstats ()) in
+  let dstats = Array.init n_workers (fun _ -> fresh_dstats ()) in
   (* The seeded queue is frontier too: fold it into the peak before the
      per-item sampling takes over. *)
   if Queue.length queue > Atomic.get g.frontier_peak then
     Atomic.set g.frontier_peak (Queue.length queue);
   if (not (Queue.is_empty queue)) && Atomic.get g.stop = None then begin
-    (* Distribute the frontier round-robin before spawning: spawn
-       provides the happens-before edge publishing the deque contents. *)
-    let i = ref 0 in
+    (* Hand the remaining frontier to its owners — each item goes to its
+       owner partition, round-robin across that partition's workers;
+       spawn publishes the deque contents. *)
+    let rr = Array.make n_parts 0 in
     Queue.iter
       (fun w ->
-        Ws_deque.push g.deques.(!i mod jobs) w;
-        incr i)
+        let p = w.owner in
+        Ws_deque.push g.parts.(p).deques.(rr.(p) mod jobs_per_part) w;
+        rr.(p) <- rr.(p) + 1)
       queue;
     let domains =
-      Array.init jobs (fun i ->
+      Array.init n_workers (fun i ->
           Domain.spawn (fun () ->
               let w0 = Unix.gettimeofday () in
+              let pid = i / jobs_per_part and wid = i mod jobs_per_part in
               let ctx =
                 {
                   g;
-                  id = i;
+                  pid;
+                  wid;
                   stats = dstats.(i);
                   commute = Explore.commute_cache ();
+                  bufs = fresh_buffers n_parts;
                   rng = 0x9E3779B9 * (i + 1);
                   tick = 0;
-                  push = (fun w -> Ws_deque.push g.deques.(i) w);
+                  route_push = (fun _ _ -> assert false);
                 }
               in
+              ctx.route_push <-
+                (fun owner w ->
+                  if owner = pid then begin
+                    Atomic.incr g.in_flight;
+                    Ws_deque.push g.parts.(pid).deques.(wid) w
+                  end
+                  else buffer_add ctx owner w);
               worker ctx;
               Explore.flush_commute_metrics ctx.commute;
               dstats.(i).seconds <- Unix.gettimeofday () -. w0))
@@ -827,7 +1041,7 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
   let dt = Unix.gettimeofday () -. t0 in
   let all = seed_stats :: Array.to_list dstats in
   let stats = merge_stats g all in
-  emit_obs label g stats dstats ~all dt;
+  emit_obs label g stats ~workers:dstats ~all dt;
   (match Atomic.get g.stop with
   | Some (Callback Stop) | Some Budget | Some Deadline | None -> ()
   | Some (Callback e) -> raise e);
@@ -842,31 +1056,33 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
 
 let iter_terminals ?visited ?max_states ?max_depth ?max_crashes
     ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ~jobs config ~f =
+    ?paranoid ?fp ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
+    ~jobs config ~f =
   run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
     ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp ?seed_target
-    ?seq_threshold ~jobs ~on_terminal:f
+    ?seq_threshold ?batch_size ?spill ?partitions ~jobs ~on_terminal:f
     ~on_visit:(fun _ _ -> ())
     "iter_terminals" config
 
-(* Source sets are forced off, exactly as in [Explore.iter_reachable]:
-   the reduction's guarantee covers terminals, and reachability callers
-   quantify over every intermediate configuration. *)
 let iter_reachable ?visited ?max_states ?max_depth ?max_crashes
     ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ~jobs config ~f =
+    ?paranoid ?fp ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
+    ~jobs config ~f =
+  (* Source sets are stripped exactly as in {!Explore.iter_reachable}:
+     reachability consumers quantify over every configuration. *)
   let reduction =
     Option.map (fun r -> { r with Explore.source_sets = false }) reduction
   in
   run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
     ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp ?seed_target
-    ?seq_threshold ~jobs
+    ?seq_threshold ?batch_size ?spill ?partitions ~jobs
     ~on_terminal:(fun _ _ -> ())
     ~on_visit:f "iter_reachable" config
 
 let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
     ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
-    ?seed_target ?seq_threshold ~jobs config ~violates =
+    ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs config
+    ~violates =
   let found = ref None in
   (* [on_terminal] runs under the callback lock, so the first writer
      wins and the witness is stable once set. *)
@@ -879,7 +1095,8 @@ let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
   let stats =
     run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
       ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
-      ?seed_target ?seq_threshold ~jobs ~on_terminal
+      ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs
+      ~on_terminal
       ~on_visit:(fun _ _ -> ())
       "find_terminal" config
   in
@@ -887,14 +1104,13 @@ let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
 
 let check_terminals ?visited ?max_states ?max_depth ?max_crashes
     ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ~jobs config ~ok =
+    ?paranoid ?fp ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
+    ~jobs config ~ok =
   match
     find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
       ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
-      ?seed_target ?seq_threshold ~jobs config
+      ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs config
       ~violates:(fun c -> not (ok c))
   with
   | None, stats -> Ok stats
   | Some (c, trace), stats -> Error (c, trace, stats)
-
-let map ~jobs f xs = Parmap.map ~jobs f xs

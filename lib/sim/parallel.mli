@@ -1,37 +1,64 @@
-(** Multicore state-space exploration.
+(** Multicore state-space exploration: the one parallel engine.
 
-    Runs the same transition relation as {!Explore} across [jobs] domains:
-    a bounded breadth-first pass on the calling domain seeds a frontier of
-    roughly [4 * jobs] work items ([?seed_target] overrides), distributed
-    round-robin across per-domain Chase–Lev work-stealing deques
-    ({!Ws_deque}).  Each domain runs depth-first search over its own
-    deque; an empty domain steals from a random victim's top with a
-    lock-free CAS.  Termination is the idle-counter protocol
-    (decrement-before-steal), with no mutex or condition variable
-    anywhere on the work path.
+    Runs the same transition relation as {!Explore} across [jobs]
+    domains.  Every search node is {e owned} by one of [?partitions]
+    partitions (default [1]), chosen by a pure hash of its claim key —
+    with reductions off, literally its fingerprint lane.  Each partition
+    owns a private visited table and [jobs / partitions] worker domains
+    (at least one) with per-worker Chase–Lev work-stealing deques
+    ({!Ws_deque}).  A bounded breadth-first pass on the calling domain
+    seeds a frontier of roughly [4 * jobs] work items ([?seed_target]
+    overrides), handed to each item's owner partition round-robin across
+    its workers.  Each worker runs depth-first search over its own
+    deque; an empty worker steals from a random sibling's top with a
+    lock-free CAS.  Stealing stays within a partition; work crosses
+    partitions only as batches.  At one partition every successor stays
+    with its producer and the batch path is idle.
 
-    {b Visited tables.}  Deduplication is claim-once through one of three
-    representations ({!visited}):
+    {b Visited tables.}  Deduplication is claim-once through one of
+    three representations per partition ({!visited}):
 
-    - [Lockfree] (default): one open-addressed claim table of [Atomic]
+    - [Lockfree] (default): an open-addressed claim table of [Atomic]
       slot words storing both fingerprint lanes (effective 124 bits) —
       CAS claim, linear probing, segment-chained growth with no rehash
       stall ({!Claim_table}).
     - [Compressed]: the claim table in folded mode — a single mixed
       62-bit word per state, about half the memory; the birthday
       collision bound is surfaced in [stats.collision_bound].
-    - [Sharded]: the historical 128 mutex-sharded hashtables, kept as
-      the measured baseline and as the exact-key representation:
-      [~paranoid] runs always use it (full canonical keys, collisions
-      impossible).
+    - [Sharded]: mutex-sharded hashtables, kept as the measured baseline
+      and as the exact-key representation: [~paranoid] runs always use
+      it (full canonical keys, collisions impossible).
 
     A search node is claimed exactly once whichever table is active, so
     every node is expanded at most once and the explored graph is exactly
     the sequential one.
 
+    {b Out-of-core mode.}  [?spill] gives a directory under which each
+    partition maps its visited set as a file of 62-bit compressed claim
+    words ({!Spill_table}) — heap residency drops to bookkeeping
+    ([parallel.visited_bytes] gauge) while the mapped bytes
+    ([parallel.spill_bytes]) are file-backed and evictable.  Collision
+    characteristics match [Compressed].  [~paranoid] overrides [?spill]
+    (exact keys cannot be compressed).
+
+    {b Batched exchange.}  A successor owned by another partition is
+    accumulated into a per-worker, per-destination buffer of
+    delta-encoded items ({!Config.Delta}, materialized at the owner only
+    if its claim wins) and flushed into the destination's inbox at
+    [?batch_size] items (default [64]) or whenever the sending worker
+    goes idle — so no partition can be starved by a half-full buffer.
+    Pending batch items are deduplicated by their folded 62-bit key
+    before sending; a dropped item is counted as the [dedup_hits] it
+    would have become, so counts are unchanged.
+
+    {b Termination.}  A single global credit counter counts every live
+    work item (deques, buffers, inboxes, the seed queue), incremented
+    before an item becomes reachable and decremented only after its
+    expansion completes.  Reading [0] proves exhaustion.
+
     {b Escalation.}  Under [Compressed], once the 62-bit birthday bound
     over the global state count crosses [?escalate_threshold] (default
-    [1e-6]; [<= 0.] disables) the claim table escalates in place to
+    [1e-6]; [<= 0.] disables) a claim table escalates in place to
     two-lane keys: a two-lane head segment is prepended, the folded tail
     keeps serving probes, and [stats.collision_bound] switches to the
     piecewise accounting (folded-era pairs at 2^-62, the rest at
@@ -40,8 +67,11 @@
 
     {b Fault budgets.}  [?max_crashes] and [?max_recoveries] mirror the
     sequential explorer exactly — budget exactness holds at any [jobs]
-    because recover successors are pushed by whichever domain claims the
-    state, and the recovery count is part of the fingerprint.
+    because recover successors are pushed by whichever worker claims the
+    state, and the recovery count is part of the fingerprint.  A state
+    budget ([?max_states]) truncates to exactly [max_states] states at
+    any [jobs] and [partitions]: claim first, ticket second on one
+    shared state counter.
 
     {b Deadline.}  [?deadline] (seconds of wall clock) stops the search
     through the first-cause stop protocol; the merged stats then read
@@ -53,27 +83,35 @@
     algorithm in this repository) the merged [states], [transitions],
     [terminals], [hung_terminals], [crashed_terminals],
     [recovered_terminals], [dedup_hits] and [source_skips] equal the
-    sequential explorer's — at any [jobs], under any of the three visited
-    modes: claim-once yields the same claimed-node set however the race
-    for claims resolves, and each claimed node contributes an expansion
-    that is a pure function of the node.  [max_depth] and the particular
-    witness traces are racy; checkers built on this module return
-    deterministic {e verdicts} with possibly different (equally valid)
-    witnesses.  [cycles] is always [0] here: back-edges count as
-    [dedup_hits] (use the sequential {!Explore.find_cycle} for
-    non-termination hunting).
+    sequential explorer's — at any [jobs] x [partitions], under any
+    visited mode or [?spill]: the partition tables partition the
+    claim-key space by a pure function of the key, claim-once yields
+    the same claimed-node set however the race for claims resolves, and
+    each claimed node contributes an expansion that is a pure function
+    of the node.  [max_depth] and the particular witness traces are
+    racy; checkers built on this module return deterministic
+    {e verdicts} with possibly different (equally valid) witnesses.
+    [cycles] is always [0] here: back-edges count as [dedup_hits] (use
+    the sequential {!Explore.find_cycle} for non-termination hunting).
 
-    {b Reductions.}  Both reductions compose with work stealing.
-    Symmetry quotienting canonicalizes before the claim, so an orbit's
-    members race for a single slot.  Source sets ride inside the work
-    items: each item carries the sleep set computed at its parent, the
-    claim key is the (canonical configuration, canonical relevant sleep)
-    pair ({!Explore.source_key}), and expansion calls the same
-    {!Explore.source_successors} as the sequential explorer — a pure
-    function of the claimed pair under the canonical sibling order.  A
-    stolen subtree therefore prunes {e identically} to the subtree the
-    victim would have explored, and [source_skips] is deterministic.
-    See DESIGN.md, "Source sets under work stealing".
+    {b Reductions.}  Both reductions compose with work stealing and
+    partitioning.  Symmetry quotienting canonicalizes before the claim,
+    so an orbit's members race for a single slot.  Source sets ride
+    inside the work items: each item carries the sleep set computed at
+    its parent, the claim key is the (canonical configuration, canonical
+    relevant sleep) pair ({!Explore.source_key}), and expansion calls
+    the same {!Explore.source_successors} as the sequential explorer — a
+    pure function of the claimed pair under the canonical sibling order.
+    A stolen or batched subtree therefore prunes {e identically} to the
+    subtree its producer would have explored, and [source_skips] is
+    deterministic.  See DESIGN.md, "Parallel exploration".
+
+    {b Metrics.}  Every search adds to the [parallel.*] counters
+    ([searches], [states], [steals], [probes], [cas_retries],
+    [shard_contention], [source_skips], [batches_sent], [batch_bytes],
+    [spill_bytes], [spill_probes]) and the shared [fp.*] counters, and
+    sets the [parallel.states_per_sec] and [parallel.visited_bytes]
+    gauges; with a sink installed it emits one ["parallel"] event.
 
     {b Callbacks.}  [f] in {!iter_terminals} is serialized under a lock
     (terminals are sparse); [f] in {!iter_reachable} is called
@@ -131,6 +169,9 @@ val iter_terminals :
   ?fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
+  ?batch_size:int ->
+  ?spill:string ->
+  ?partitions:int ->
   jobs:int ->
   Config.t ->
   f:(Config.t -> Trace.t -> unit) ->
@@ -156,6 +197,9 @@ val iter_reachable :
   ?fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
+  ?batch_size:int ->
+  ?spill:string ->
+  ?partitions:int ->
   jobs:int ->
   Config.t ->
   f:(Config.t -> Trace.t Lazy.t -> unit) ->
@@ -179,6 +223,9 @@ val find_terminal :
   ?fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
+  ?batch_size:int ->
+  ?spill:string ->
+  ?partitions:int ->
   jobs:int ->
   Config.t ->
   violates:(Config.t -> bool) ->
@@ -200,15 +247,12 @@ val check_terminals :
   ?fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
+  ?batch_size:int ->
+  ?spill:string ->
+  ?partitions:int ->
   jobs:int ->
   Config.t ->
   ok:(Config.t -> bool) ->
   (Explore.stats, Config.t * Trace.t * Explore.stats) result
 (** Parallel {!Explore.check_terminals}: the [Ok]/[Error] outcome is
     deterministic, the counterexample in [Error] need not be. *)
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] applies [f] to every element across [jobs] domains
-    (static index partition), preserving order.  [f] must be domain-safe.
-    The first exception raised is re-raised after all domains join.
-    [jobs <= 1] is plain [List.map].  Delegates to {!Parmap.map}. *)

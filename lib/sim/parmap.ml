@@ -1,8 +1,7 @@
 (* Domain fan-out over an ordinary list: static index partition (item [i]
    goes to domain [i mod jobs]).  This is the leaf parallel primitive of
-   the simulator — it sits below [Symmetry] (parallel orbit minimization)
-   and [Parallel] (the exploration engine delegates its [map]), so
-   neither creates a dependency cycle.  The work items handed to it are
+   the simulator — it sits below [Symmetry] (parallel orbit
+   minimization), so no dependency cycle arises.  The work items handed to it are
    few and coarse, so static partitioning is enough.  The first exception
    (in item order) is re-raised after all domains join. *)
 

@@ -1,9 +1,8 @@
 (** Leaf domain fan-out: parallel [map] over ordinary lists.
 
-    This module exists below {!Symmetry} and {!Parallel} in the
-    dependency order, so the parallel orbit minimization and the
-    exploration engine can share one primitive without a cycle.
-    [Parallel.map] delegates here. *)
+    This module exists below {!Symmetry} in the dependency order, so the
+    parallel orbit minimization and the analyzer's per-subject fan-out
+    share one primitive without a cycle. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] applies [f] to every element across [jobs] domains

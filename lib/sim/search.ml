@@ -1,8 +1,8 @@
 (* One record for every search knob, replacing the nine-optional-arg
    sprawl that every explorer and checker entry point used to duplicate.
-   The engines ({!Explore}, {!Parallel}, {!Partition}) keep their
-   low-level labelled interfaces; this module is the front door that
-   dispatches between them on [jobs] / [partitions] / [spill]. *)
+   The two engines ({!Explore}, {!Parallel}) keep their low-level
+   labelled interfaces; this module is the front door that dispatches
+   between them on [jobs] / [partitions] / [spill]. *)
 
 type options = {
   max_states : int;
@@ -58,35 +58,6 @@ let with_partitions n o = { o with partitions = max 1 n }
 let with_spill dir o = { o with spill = Some dir }
 let with_seq_threshold n o = { o with seq_threshold = Some (max 0 n) }
 
-(* Bridge for the [@@deprecated] shims: each old optional argument
-   overrides the corresponding field of [default]. *)
-let of_legacy ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?reduction ?independence ?paranoid ?fp ?jobs ?visited
-    ?partitions ?spill ?seq_threshold () =
-  let reduction = Option.value reduction ~default:default.reduction in
-  let reduction =
-    match independence with
-    | None -> reduction
-    | Some i -> Explore.with_independence i reduction
-  in
-  {
-    max_states = Option.value max_states ~default:default.max_states;
-    max_depth = Option.value max_depth ~default:default.max_depth;
-    max_crashes = Option.value max_crashes ~default:default.max_crashes;
-    max_recoveries =
-      Option.value max_recoveries ~default:default.max_recoveries;
-    deadline;
-    expected_states;
-    reduction;
-    paranoid = Option.value paranoid ~default:default.paranoid;
-    fp;
-    jobs = max 1 (Option.value jobs ~default:1);
-    visited;
-    partitions = max 1 (Option.value partitions ~default:1);
-    spill;
-    seq_threshold;
-  }
-
 let pp ppf o =
   Format.fprintf ppf
     "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s%s jobs=%d%s%s \
@@ -109,101 +80,61 @@ let pp ppf o =
   | None -> ()
   | Some m -> Format.fprintf ppf " fp=%a" Explore.pp_fp_mode m
 
-let parallel o = o.jobs > 1
-
-(* The partitioned engine is opt-in: asking for more than one partition
-   or for spilling routes there (even at [jobs = 1] — the single worker
-   still gets per-partition tables and the out-of-core representation);
-   otherwise the plain engines keep their zero-exchange fast paths. *)
-let partitioned o = o.partitions > 1 || o.spill <> None
+(* Two engines: the sequential reference explorer, and the parallel one
+   whenever more than one domain, more than one partition or spilling is
+   asked for (even at [jobs = 1], a partitioned or spilled search gets
+   its per-partition tables and out-of-core representation). *)
+let sequential o = o.jobs <= 1 && o.partitions <= 1 && o.spill = None
 
 let iter_terminals ?(options = default) config ~f =
   let o = options in
-  if partitioned o then
-    Partition.iter_terminals ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
-  else if parallel o then
+  if sequential o then
+    Explore.iter_terminals ~max_states:o.max_states ~max_depth:o.max_depth
+      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
+      ?deadline:o.deadline ?expected_states:o.expected_states
+      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+  else
     Parallel.iter_terminals ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
       ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~f
-  else
-    Explore.iter_terminals ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
 
 let iter_reachable ?(options = default) config ~f =
   let o = options in
-  if partitioned o then
-    Partition.iter_reachable ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
-  else if parallel o then
+  if sequential o then
+    Explore.iter_reachable ~max_states:o.max_states ~max_depth:o.max_depth
+      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
+      ?deadline:o.deadline ?expected_states:o.expected_states
+      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+  else
     Parallel.iter_reachable ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
       ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~f
-  else
-    Explore.iter_reachable ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
 
 let find_terminal ?(options = default) config ~violates =
   let o = options in
-  if partitioned o then
-    Partition.find_terminal ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~violates
-  else if parallel o then
+  if sequential o then
+    Explore.find_terminal ~max_states:o.max_states ~max_depth:o.max_depth
+      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
+      ?deadline:o.deadline ?expected_states:o.expected_states
+      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~violates
+  else
     Parallel.find_terminal ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
       ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~violates
-  else
-    Explore.find_terminal ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~violates
+      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~violates
 
 let check_terminals ?(options = default) config ~ok =
-  let o = options in
-  if partitioned o then
-    Partition.check_terminals ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~ok
-  else if parallel o then
-    Parallel.check_terminals ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~ok
-  else
-    Explore.check_terminals ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~ok
+  match find_terminal ~options config ~violates:(fun c -> not (ok c)) with
+  | None, stats -> Ok stats
+  | Some (c, trace), stats -> Error (c, trace, stats)
 
 (* Cycle hunting needs the sequential DFS stack discipline whatever
    [jobs] says; the options record still supplies every other knob. *)

@@ -16,14 +16,12 @@
       Search.iter_terminals ~options:opts config ~f
     ]}
 
-    The entry points here dispatch on the parallelism fields: asking
-    for more than one partition — or for out-of-core spilling — runs
-    the partitioned engine ({!Partition}); otherwise [jobs > 1] runs
-    the work-stealing {!Parallel} engine and [jobs <= 1] the
-    sequential {!Explore}.  Whatever the path, the observable counts
-    and verdicts agree (see the determinism notes in {!Parallel} and
-    {!Partition}); [--reduction full] runs at full strength on all of
-    them. *)
+    The entry points here pick one of two engines: the sequential
+    {!Explore} when [jobs <= 1], [partitions <= 1] and [spill = None],
+    otherwise the work-stealing, partitioned {!Parallel} engine.  On
+    either path the observable counts and verdicts agree (see the
+    determinism notes in {!Parallel}); [--reduction full] runs at full
+    strength on both. *)
 
 type options = {
   max_states : int;  (** visited-state budget (default [5_000_000]) *)
@@ -41,14 +39,13 @@ type options = {
       (** parallel visited-table representation; [None] defers to
           {!Parallel.default_visited} *)
   partitions : int;
-      (** state-ownership partitions; [> 1] routes to the partitioned
-          engine ({!Partition}) with per-partition visited tables and
-          batched cross-partition frontier exchange (default [1]) *)
+      (** state-ownership partitions of the {!Parallel} engine, each with
+          its own visited table, exchanging frontier items in batches;
+          [> 1] selects {!Parallel} even at [jobs = 1] (default [1]) *)
   spill : string option;
       (** out-of-core mode: directory under which each partition mmaps
           its visited set as 62-bit compressed claim words
-          ({!Spill_table}); implies the partitioned engine even at
-          [partitions = 1] *)
+          ({!Spill_table}); selects {!Parallel} even at [jobs = 1] *)
   seq_threshold : int option;
       (** auto-sequential fallback: state count the seeding pass reaches
           before worker domains spawn; [None] defers to
@@ -85,45 +82,23 @@ val with_jobs : int -> options -> options
 val with_visited : Parallel.visited -> options -> options
 
 val with_partitions : int -> options -> options
-(** Clamped to at least [1]; [> 1] dispatches to {!Partition}. *)
+(** Clamped to at least [1]; [> 1] dispatches to {!Parallel}. *)
 
 val with_spill : string -> options -> options
-(** Spill directory for the out-of-core visited tables; implies the
-    partitioned engine. *)
+(** Spill directory for the out-of-core visited tables; dispatches to
+    {!Parallel}. *)
 
 val with_seq_threshold : int -> options -> options
 (** Override {!Parallel.default_seq_threshold} for this search
     (clamped to at least [0]; [0] spawns domains eagerly). *)
-
-val of_legacy :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:Explore.reduction ->
-  ?independence:Explore.independence ->
-  ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
-  ?jobs:int ->
-  ?visited:Parallel.visited ->
-  ?partitions:int ->
-  ?spill:string ->
-  ?seq_threshold:int ->
-  unit ->
-  options
-(** Bridge from the historical optional-argument spelling; each supplied
-    argument overrides the corresponding field of {!default}.  The
-    [@@deprecated] checker shims are one-liners over this. *)
 
 val pp : Format.formatter -> options -> unit
 
 (** {1 Entry points}
 
     Thin dispatchers over {!Explore} (sequential) and {!Parallel}
-    (work-stealing); see those modules for callback and determinism
-    contracts. *)
+    (work-stealing, partitioned); see those modules for callback and
+    determinism contracts. *)
 
 val iter_terminals :
   ?options:options -> Config.t -> f:(Config.t -> Trace.t -> unit) -> Explore.stats

@@ -1,7 +1,7 @@
 (** Out-of-core visited table: 62-bit folded fingerprint words in mmap'd
     files.
 
-    The spill mode of the partitioned explorer ({!Partition}): each
+    The spill mode of the parallel explorer ({!Parallel}): each
     partition can keep its claim-once visited set in file-backed mapped
     memory instead of the OCaml heap, bounding exploration by disk
     rather than RAM.  Keys are compressed to exactly the folded claim

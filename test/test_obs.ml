@@ -69,6 +69,34 @@ let json_tests =
           "{\"event\":\"e\\\"v\",\"k\\n\":\"v\\\\\"}" (Sink.json_of_event ev));
   ]
 
+(* A partitioned run reports the claim-table probes and source skips
+   under the one [parallel.*] namespace, like a single-partition run.
+   The visited mode is pinned: probes are a claim-table count, and CI
+   re-runs the suite with the sharded tables as the default. *)
+let partitioned_metrics () =
+  let open Subc_sim in
+  let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
+  let config =
+    Config.make store
+      (List.init 3 (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))))
+  in
+  let options =
+    Search.(
+      default |> with_max_crashes 1 |> with_partitions 2 |> with_jobs 2
+      |> with_reduction Explore.source_only
+      |> with_visited Parallel.Lockfree)
+  in
+  let value name = Metrics.value (Metrics.counter name) in
+  let probes0 = value "parallel.probes"
+  and skips0 = value "parallel.source_skips" in
+  let stats = Search.iter_terminals ~options config ~f:(fun _ _ -> ()) in
+  Alcotest.(check bool)
+    "parallel.probes counted" true
+    (value "parallel.probes" - probes0 > 0);
+  Alcotest.(check int)
+    "parallel.source_skips = stats.source_skips" stats.Explore.source_skips
+    (value "parallel.source_skips" - skips0)
+
 let metrics_tests =
   [
     test "counters are interned by name" (fun () ->
@@ -100,7 +128,9 @@ let metrics_tests =
         Metrics.reset ();
         Alcotest.(check int) "counter zeroed" 0 (Metrics.value c);
         Alcotest.(check (option (float 0.0))) "gauge dropped" None
-          (Metrics.find "obs.test.g3"))
+          (Metrics.find "obs.test.g3"));
+    test "partitioned runs report probes and source skips"
+      partitioned_metrics;
   ]
 
 let span_tests =

@@ -346,6 +346,11 @@ let source_sets_steal_stress () =
 
 let verdict_status = Alcotest.testable Fmt.string String.equal
 
+let options ~max_crashes ?(reduction = Explore.no_reduction) ~jobs () =
+  Search.(
+    default |> with_max_crashes max_crashes |> with_reduction reduction
+    |> with_jobs jobs)
+
 let same_status name a b =
   Alcotest.check verdict_status name (Verdict.status_string a)
     (Verdict.status_string b)
@@ -358,7 +363,7 @@ let task_check_agrees () =
       List.iter
         (fun (rlabel, reduction) ->
           let name = Printf.sprintf "alg2 f=%d %s" f rlabel in
-          let opts j = Search.of_legacy ~max_crashes:f ?reduction ~jobs:j () in
+          let opts j = options ~max_crashes:f ?reduction ~jobs:j () in
           let seq =
             Task_check.check ~options:(opts 1) store ~programs
               ~inputs:(inputs 3) ~task
@@ -408,7 +413,7 @@ let lin_agrees () =
       List.iter
         (fun (rlabel, reduction) ->
           let name = Printf.sprintf "alg5 lin f=%d %s" f rlabel in
-          let opts j = Search.of_legacy ~max_crashes:f ?reduction ~jobs:j () in
+          let opts j = options ~max_crashes:f ?reduction ~jobs:j () in
           let seq =
             Lin.check_harness ~options:(opts 1) store ~programs ~ops ~spec
           in
@@ -438,7 +443,7 @@ let wait_free_agrees () =
   List.iter
     (fun (rlabel, reduction) ->
       let name = "alg2 wait-free " ^ rlabel in
-      let opts j = Search.of_legacy ~max_crashes:1 ?reduction ~jobs:j () in
+      let opts j = options ~max_crashes:1 ?reduction ~jobs:j () in
       let seq = Progress.check_wait_free ~options:(opts 1) store ~programs in
       let par =
         Progress.check_wait_free ~options:(opts jobs) store ~programs
@@ -711,18 +716,18 @@ let canonical_key_jobs () =
     !configs
 
 (* ---------------------------------------------------------------- *)
-(* Parallel.map.                                                     *)
+(* Parmap.map.                                                       *)
 
 let map_preserves_order () =
   let xs = List.init 100 (fun i -> i) in
   Alcotest.(check (list int))
     "map ~jobs = List.map" (List.map (fun x -> x * x) xs)
-    (Parallel.map ~jobs (fun x -> x * x) xs)
+    (Parmap.map ~jobs (fun x -> x * x) xs)
 
 let map_propagates_exceptions () =
   Alcotest.check_raises "exception surfaces" (Failure "boom") (fun () ->
       ignore
-        (Parallel.map ~jobs
+        (Parmap.map ~jobs
            (fun x -> if x = 13 then failwith "boom" else x)
            (List.init 20 (fun i -> i))))
 

@@ -1,7 +1,7 @@
 (* Cross-validation of the partitioned (and out-of-core) exploration
    engine.
 
-   Determinism contract (see Partition's interface): for every algorithm
+   Determinism contract (see Parallel's interface): for every algorithm
    family, crash/recovery budget and reduction, the partitioned search
    must agree with the sequential explorer on [states], [transitions],
    [terminals], [hung_terminals], [crashed_terminals], [dedup_hits] and
@@ -135,7 +135,7 @@ let stats_matrix () =
                           partitions j
                       in
                       let par =
-                        Partition.iter_terminals ~max_crashes:f ?reduction
+                        Parallel.iter_terminals ~max_crashes:f ?reduction
                           ~seq_threshold:0 ~partitions ~jobs:j config
                           ~f:(fun _ _ -> ())
                       in
@@ -162,7 +162,7 @@ let stats_quick () =
           ~f:(fun _ _ -> ())
       in
       let par =
-        Partition.iter_terminals ~max_crashes:1 ?reduction ~seq_threshold:0
+        Parallel.iter_terminals ~max_crashes:1 ?reduction ~seq_threshold:0
           ~partitions:2 ~jobs config
           ~f:(fun _ _ -> ())
       in
@@ -184,7 +184,7 @@ let recovery_matrix () =
           List.iter
             (fun partitions ->
               let par =
-                Partition.iter_terminals ~max_crashes:1 ~max_recoveries:r
+                Parallel.iter_terminals ~max_crashes:1 ~max_recoveries:r
                   ~seq_threshold:0 ~partitions ~jobs config
                   ~f:(fun _ _ -> ())
               in
@@ -229,7 +229,7 @@ let seeder_fallback () =
     Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
   in
   let par =
-    Partition.iter_terminals ~max_crashes:1 ~seq_threshold:4096 ~partitions:4
+    Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:4096 ~partitions:4
       ~jobs config
       ~f:(fun _ _ -> ())
   in
@@ -246,7 +246,7 @@ let budget_truncation () =
   List.iter
     (fun partitions ->
       let s =
-        Partition.iter_terminals ~max_crashes:1 ~max_states:budget
+        Parallel.iter_terminals ~max_crashes:1 ~max_states:budget
           ~seq_threshold:0 ~partitions ~jobs config
           ~f:(fun _ _ -> ())
       in
@@ -273,7 +273,7 @@ let flush_on_idle () =
   List.iter
     (fun batch_size ->
       let par =
-        Partition.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~batch_size
+        Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~batch_size
           ~partitions:4 ~jobs config
           ~f:(fun _ _ -> ())
       in
@@ -286,14 +286,14 @@ let terminal_callback_count () =
   let config = Config.make store programs in
   let count = Atomic.make 0 in
   let s =
-    Partition.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~partitions:3
+    Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~partitions:3
       ~jobs config
       ~f:(fun _ _ -> Atomic.incr count)
   in
   Alcotest.(check int)
     "one callback per terminal" s.Explore.terminals (Atomic.get count)
 
-(* Partition.Stop from a callback ends the search gracefully. *)
+(* Parallel.Stop from a callback ends the search gracefully. *)
 let stop_from_callback () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
@@ -302,10 +302,10 @@ let stop_from_callback () =
   in
   let seen = Atomic.make 0 in
   let s =
-    Partition.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~partitions:2
+    Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~partitions:2
       ~jobs config
       ~f:(fun _ _ ->
-        if Atomic.fetch_and_add seen 1 >= 3 then raise Partition.Stop)
+        if Atomic.fetch_and_add seen 1 >= 3 then raise Parallel.Stop)
   in
   Alcotest.(check bool) "saw some terminals" true (s.Explore.terminals >= 1);
   Alcotest.(check bool)
@@ -324,7 +324,7 @@ let spill_determinism () =
   List.iter
     (fun partitions ->
       let par =
-        Partition.iter_terminals ~max_crashes:1 ~spill:"spill-run.tmp"
+        Parallel.iter_terminals ~max_crashes:1 ~spill:"spill-run.tmp"
           ~seq_threshold:0 ~partitions ~jobs config
           ~f:(fun _ _ -> ())
       in
@@ -403,7 +403,7 @@ let paranoid_cross_validation () =
   List.iter
     (fun partitions ->
       let par =
-        Partition.iter_terminals ~max_crashes:1 ~paranoid:true
+        Parallel.iter_terminals ~max_crashes:1 ~paranoid:true
           ~fp:Explore.Incremental ~seq_threshold:0 ~partitions ~jobs config
           ~f:(fun _ _ -> ())
       in
@@ -422,7 +422,7 @@ let paranoid_catches_mutation () =
     (fun () ->
       Explore.set_fp_fault_injection 5;
       match
-        Partition.iter_terminals ~max_crashes:1 ~paranoid:true
+        Parallel.iter_terminals ~max_crashes:1 ~paranoid:true
           ~fp:Explore.Incremental ~seq_threshold:0 ~partitions:2 ~jobs config
           ~f:(fun _ _ -> ())
       with
