@@ -1389,10 +1389,10 @@ let e20 () =
 
 
 (* E21: incremental fingerprinting + delta-encoded frontier.  Same
-   family set as E20; each cell explores under both fingerprint modes
-   and both engines.  The claim is exactness: identical states,
-   transitions and terminals between [--fp incremental] and [--fp full]
-   per family x reduction x jobs, with the incremental lanes doing O(1)
+   family set as E20; each cell explores with fingerprint keys and with
+   [~paranoid] exact keys, on both engines.  The claim is exactness:
+   identical states, transitions and terminals between the two per
+   family x reduction x jobs, with the fingerprint lanes doing O(1)
    patches (fp.patches ~ transitions, fp.refolds ~ 1 per search) and a
    frontier-proportional memory gauge. *)
 let e21 () =
@@ -1421,7 +1421,7 @@ let e21 () =
     match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
   in
   let counter_names = [ "fp.patches"; "fp.refolds" ] in
-  let run harness reduction fp jobs =
+  let run harness reduction paranoid jobs =
     let store, programs, sym = harness () in
     let reduction =
       match reduction with
@@ -1431,7 +1431,7 @@ let e21 () =
     let options =
       Search.(
         default |> with_max_crashes 1 |> with_reduction reduction
-        |> with_fp fp |> with_jobs jobs)
+        |> with_paranoid paranoid |> with_jobs jobs)
     in
     let before = List.map metric counter_names in
     let t0 = Unix.gettimeofday () in
@@ -1458,18 +1458,19 @@ let e21 () =
           (fun (rname, reduction) ->
             List.map
               (fun jobs ->
-                let inc_stats, inc_secs, inc_deltas =
-                  run harness reduction Explore.Incremental jobs
+                let fp_stats, fp_secs, fp_deltas =
+                  run harness reduction false jobs
                 in
-                let full_stats, full_secs, _ =
-                  run harness reduction Explore.Full jobs
+                let exact_stats, exact_secs, _ =
+                  run harness reduction true jobs
                 in
-                let patches = List.nth inc_deltas 0
-                and refolds = List.nth inc_deltas 1 in
-                let inc_rate =
-                  float_of_int inc_stats.Explore.states /. max 1e-9 inc_secs
-                and full_rate =
-                  float_of_int full_stats.Explore.states /. max 1e-9 full_secs
+                let patches = List.nth fp_deltas 0
+                and refolds = List.nth fp_deltas 1 in
+                let fp_rate =
+                  float_of_int fp_stats.Explore.states /. max 1e-9 fp_secs
+                and exact_rate =
+                  float_of_int exact_stats.Explore.states
+                  /. max 1e-9 exact_secs
                 in
                 List.iter
                   (fun (k, v) ->
@@ -1478,36 +1479,36 @@ let e21 () =
                          k)
                       v)
                   [
-                    ("states", float_of_int inc_stats.Explore.states);
+                    ("states", float_of_int fp_stats.Explore.states);
                     ("fp_patches", patches); ("fp_refolds", refolds);
                     ( "frontier_bytes",
-                      float_of_int inc_stats.Explore.frontier_bytes );
-                    ("inc_states_per_sec", inc_rate);
-                    ("full_states_per_sec", full_rate);
+                      float_of_int fp_stats.Explore.frontier_bytes );
+                    ("states_per_sec", fp_rate);
+                    ("paranoid_states_per_sec", exact_rate);
                   ];
                 let ok =
-                  counts inc_stats = counts full_stats
-                  && inc_stats.Explore.frontier_bytes > 0
+                  counts fp_stats = counts exact_stats
+                  && fp_stats.Explore.frontier_bytes > 0
                   &&
                   (* On the unreduced lanes the carried hash is live:
                      one patch per transition, re-folds only at roots
                      (jobs > 1 re-folds once per seeded root). *)
                   match rname with
                   | "none" ->
-                    patches = float_of_int inc_stats.Explore.transitions
+                    patches = float_of_int fp_stats.Explore.transitions
                     && refolds >= 1.
                     && refolds <= float_of_int (max 1 (8 * jobs))
                   | _ -> true
                 in
                 [
                   family; rname; string_of_int jobs;
-                  string_of_int inc_stats.Explore.states;
-                  string_of_int inc_stats.Explore.transitions;
+                  string_of_int fp_stats.Explore.states;
+                  string_of_int fp_stats.Explore.transitions;
                   Printf.sprintf "%.0f" patches;
                   Printf.sprintf "%.0f" refolds;
-                  string_of_int inc_stats.Explore.frontier_bytes;
-                  Printf.sprintf "%.0fk/s" (inc_rate /. 1e3);
-                  Printf.sprintf "%.0fk/s" (full_rate /. 1e3);
+                  string_of_int fp_stats.Explore.frontier_bytes;
+                  Printf.sprintf "%.0fk/s" (fp_rate /. 1e3);
+                  Printf.sprintf "%.0fk/s" (exact_rate /. 1e3);
                   check
                     (Printf.sprintf "E21 %s %s jobs=%d" family rname jobs)
                     ok;
@@ -1523,11 +1524,12 @@ let e21 () =
   table
     ~title:
       "E21. Incremental fingerprints + delta frontiers: f=1 — identical \
-       spaces under --fp incremental and --fp full at jobs 1 and 4; O(1) \
-       patches replace per-state re-folds; frontier-proportional memory"
+       spaces under fingerprint and paranoid exact keys at jobs 1 and 4; \
+       O(1) patches replace per-state re-folds; frontier-proportional \
+       memory"
     ~header:
       [ "family"; "reduction"; "jobs"; "states"; "transitions"; "patches";
-        "refolds"; "frontier B"; "inc speed"; "full speed"; "verdict" ]
+        "refolds"; "frontier B"; "fp speed"; "paranoid speed"; "verdict" ]
     rows
 
 (* ------------------------------------------------------------------ E22 *)

@@ -645,108 +645,6 @@ let perf_independence () =
         ])
     families
 
-(* E21 artifact rows: incremental fingerprinting + delta frontiers on
-   the end-to-end explore path — per family x reduction x fp mode x
-   domain count.  Counts must be identical between [--fp incremental]
-   and [--fp full] everywhere (the homomorphic hash and the fold are
-   both injective w.h.p., and a run keys consistently by one of them);
-   states/sec, fp.patches / fp.refolds deltas and the frontier_bytes
-   gauge are the measurement.  On the unreduced lanes the patch path
-   must pay >= 3x fewer re-folds per state (fp.refolds stays at the
-   roots while every visited state costs one patch). *)
-let perf_e21 ~jobs_list () =
-  let families =
-    [
-      ( "alg5.k3",
-        (fun () ->
-          let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
-          let programs =
-            List.init 3 (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
-          in
-          (Config.make store programs, Subc_core.Alg5.symmetry t ~input_base:100 ())) );
-      ( "alg2.k3",
-        (fun () ->
-          let store, t = Subc_core.Alg2.alloc Store.empty ~k:3 ~one_shot:true in
-          let programs =
-            List.init 3 (fun i ->
-                Subc_core.Alg2.propose t ~i (Value.Int (100 + i)))
-          in
-          (Config.make store programs, Subc_core.Alg2.symmetry t ~input_base:100 ())) );
-    ]
-  in
-  List.concat_map
-    (fun (fam, make) ->
-      let config, sym = make () in
-      List.concat_map
-        (fun (rname, reduction) ->
-          List.concat_map
-            (fun jobs ->
-              let run fp =
-                let t0 = Unix.gettimeofday () in
-                let (stats : Explore.stats), deltas =
-                  counter_delta [ "fp.patches"; "fp.refolds" ] (fun () ->
-                      Search.iter_terminals
-                        ~options:
-                          Search.(
-                            default |> with_max_crashes 1
-                            |> with_reduction reduction |> with_fp fp
-                            |> with_jobs jobs)
-                        config
-                        ~f:(fun _ _ -> ()))
-                in
-                (stats, Unix.gettimeofday () -. t0, deltas)
-              in
-              let inc, inc_secs, inc_deltas = run Explore.Incremental in
-              let full, full_secs, _ = run Explore.Full in
-              if
-                inc.Explore.states <> full.Explore.states
-                || inc.Explore.transitions <> full.Explore.transitions
-                || inc.Explore.terminals <> full.Explore.terminals
-              then
-                Format.printf
-                  "!! e21 %s/%s jobs=%d MODE DISAGREEMENT: inc %d/%d/%d vs \
-                   full %d/%d/%d@."
-                  fam rname jobs inc.Explore.states inc.Explore.transitions
-                  inc.Explore.terminals full.Explore.states
-                  full.Explore.transitions full.Explore.terminals;
-              Format.printf
-                "e21: %s %s jobs=%d: %d states; inc %.0f st/s (patches \
-                 %.0f, refolds %.0f, frontier %dB), full %.0f st/s \
-                 (%.2fx)@."
-                fam rname jobs inc.Explore.states
-                (float_of_int inc.Explore.states /. inc_secs)
-                (List.nth inc_deltas 0) (List.nth inc_deltas 1)
-                inc.Explore.frontier_bytes
-                (float_of_int full.Explore.states /. full_secs)
-                (full_secs /. inc_secs);
-              List.map2
-                (fun fp (stats, secs, deltas) ->
-                  {
-                    name =
-                      Printf.sprintf "e21.%s.%s.%s.jobs%d" fam rname fp jobs;
-                    fields =
-                      [
-                        ("jobs", float_of_int jobs);
-                        ("states", float_of_int stats.Explore.states);
-                        ("transitions", float_of_int stats.Explore.transitions);
-                        ("terminals", float_of_int stats.Explore.terminals);
-                        ("seconds", secs);
-                        ( "states_per_sec",
-                          if secs > 0.0 then
-                            float_of_int stats.Explore.states /. secs
-                          else 0.0 );
-                        ("fp_patches", List.nth deltas 0);
-                        ("fp_refolds", List.nth deltas 1);
-                        ( "frontier_bytes",
-                          float_of_int stats.Explore.frontier_bytes );
-                      ];
-                  })
-                [ "incremental"; "full" ]
-                [ (inc, inc_secs, inc_deltas); (full, full_secs, [ 0.0; 0.0 ]) ])
-            jobs_list)
-        [ ("none", Explore.no_reduction); ("full", Explore.full_reduction sym) ])
-    families
-
 (* P6 / E22 artifact rows: the parallel engine at 1/2/4 partitions.  Two
    headline guards ride in [p6.partition_compare]:
 
@@ -870,7 +768,7 @@ let perf_partition ~jobs_list () =
       };
     ]
 
-(* P7: the auto-sequential fallback (SUBC_SEQ_THRESHOLD).  On a space
+(* P7: the auto-sequential fallback ([Parallel.default_seq_threshold]).  On a space
    far below the threshold the parallel entry points complete on the
    seeding pass without spawning a single domain, so asking for jobs=4
    must cost about the same as the sequential explorer — CI asserts the
@@ -917,7 +815,7 @@ let perf_seq_fallback () =
       name = "p7.seq_fallback";
       fields =
         [
-          ("threshold", float_of_int (Parallel.default_seq_threshold ()));
+          ("threshold", float_of_int Parallel.default_seq_threshold);
           ("seq_us", 1e6 *. seq_secs);
           ("fallback_jobs4_us", 1e6 *. fallback_secs);
           ("eager_jobs4_us", 1e6 *. eager_secs);
@@ -939,11 +837,8 @@ let run_perf ?(jobs_list = [ 1; 2; 4; 8 ]) () =
     perf_reduction ~jobs_list:(List.filter (fun j -> j <= 4) jobs_list) ()
   in
   let independence = perf_independence () in
-  let e21 =
-    perf_e21 ~jobs_list:(List.filter (fun j -> j <= 4) jobs_list) ()
-  in
   let partition = perf_partition ~jobs_list () in
   let seq_fallback = perf_seq_fallback () in
   write_results
-    ((fingerprint :: parallel) @ canonical @ reduction @ independence @ e21
-    @ partition @ seq_fallback)
+    ((fingerprint :: parallel) @ canonical @ reduction @ independence @ partition
+    @ seq_fallback)

@@ -394,17 +394,6 @@ let visited_arg =
            $(b,sharded) (the mutex-sharded baseline).  Verdicts and state \
            counts are identical across all three.")
 
-let fp_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("incremental", Explore.Incremental); ("full", Explore.Full) ])
-        Explore.Incremental
-    & info [ "fp" ] ~docv:"MODE"
-        ~doc:
-          "Fingerprint mode: $(b,incremental) (default; each step patches            the parent's homomorphic hash in O(1) and the frontier is            delta-encoded) or $(b,full) (re-fold every configuration — the            escape hatch / baseline).  States, transitions, terminals and            verdicts are identical across the two; symmetry-reduced and            $(b,--paranoid) runs key on exact canonical forms either way.")
-
 let certified_arg =
   Arg.(
     value & flag
@@ -421,10 +410,9 @@ let certified_arg =
 
 let check_cmd =
   let run alg n k f r deadline expected_states max_states jobs partitions
-      spill visited fp choice independence certified json metrics =
+      spill visited choice independence certified json metrics =
     setup_obs ~json ~metrics;
     Parallel.set_default_visited visited;
-    Explore.set_default_fp fp;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let reduction =
       resolve_independence independence
@@ -452,7 +440,7 @@ let check_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ partitions_arg $ spill_arg $ visited_arg $ reduction_arg
       $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -478,10 +466,9 @@ let stats_fields reduction (stats : Explore.stats) =
 
 let explore_cmd =
   let run alg n k f r deadline expected_states max_states jobs partitions
-      spill visited fp choice independence certified json metrics =
+      spill visited choice independence certified json metrics =
     setup_obs ~json ~metrics;
     Parallel.set_default_visited visited;
-    Explore.set_default_fp fp;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let store, programs = instance_store_programs inst in
     let reduction =
@@ -536,7 +523,7 @@ let explore_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ partitions_arg $ spill_arg $ visited_arg $ reduction_arg
       $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -856,11 +843,10 @@ let analyze_cmd =
    crash-sweep at any --jobs.                                          *)
 
 let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs partitions spill visited fp choice independence certified json
+    jobs partitions spill visited choice independence certified json
     metrics =
   setup_obs ~json ~metrics;
   Parallel.set_default_visited visited;
-  Explore.set_default_fp fp;
   let verdicts = ref [] in
   let note name v =
     verdicts := v :: !verdicts;
@@ -916,9 +902,9 @@ let solo_limit_arg =
 
 let crash_sweep_cmd =
   let run alg k f deadline expected_states max_states solo_limit jobs
-      partitions spill visited fp choice independence certified json metrics =
+      partitions spill visited choice independence certified json metrics =
     run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs partitions spill visited fp choice independence certified json
+      jobs partitions spill visited choice independence certified json
       metrics
   in
   Cmd.v
@@ -931,14 +917,14 @@ let crash_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
       $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ partitions_arg $ spill_arg $ visited_arg $ reduction_arg
       $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 let recover_sweep_cmd =
   let run alg k f r deadline expected_states max_states solo_limit jobs
-      partitions spill visited fp choice independence certified json metrics =
+      partitions spill visited choice independence certified json metrics =
     run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs partitions spill visited fp choice independence certified json
+      jobs partitions spill visited choice independence certified json
       metrics
   in
   let sweep_recoveries_arg =
@@ -961,7 +947,7 @@ let recover_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
-      $ jobs_arg $ partitions_arg $ spill_arg $ visited_arg $ fp_arg
+      $ jobs_arg $ partitions_arg $ spill_arg $ visited_arg
       $ reduction_arg $ independence_arg $ certified_arg $ json_arg
       $ metrics_arg)
 

@@ -30,32 +30,6 @@ type stats = {
   frontier_bytes : int;
 }
 
-(* How visited-set keys are produced on the unreduced (symmetry-off)
-   lanes:
-
-   - [Incremental] (default): the root configuration is hashed once with
-     the homomorphic fold ([Fingerprint.hom_of_config]); every transition
-     then {e patches} the parent's fingerprint through the slots it
-     rewrote ([Step.slots]) — O(1) per transition instead of
-     O(|store| + |procs|).
-   - [Full]: every state is re-folded from scratch ([of_config]) — the
-     escape hatch, and the cross-validation baseline.
-
-   Symmetry-canonicalized keys always take the existing [of_value] path
-   (the orbit minimization materializes the canonical key tree anyway),
-   and [~paranoid] keys stay exact; under paranoid the incremental
-   fingerprint is still carried and cross-validated against a
-   [hom_of_config] re-fold at every node ([fp.paranoid_mismatches]). *)
-type fp_mode = Incremental | Full
-
-let pp_fp_mode ppf = function
-  | Incremental -> Format.fprintf ppf "incremental"
-  | Full -> Format.fprintf ppf "full"
-
-let default_fp_mode : fp_mode Atomic.t = Atomic.make Incremental
-let set_default_fp m = Atomic.set default_fp_mode m
-let default_fp () = Atomic.get default_fp_mode
-
 (* Test-only fault injection: corrupt every [n]-th patched fingerprint
    (0 disables).  Used by the suite's seeded-mutation negative to prove
    [~paranoid] catches a wrong patch. *)
@@ -536,9 +510,10 @@ let canonical_packed_sleep minimizers sleep =
 
 (* Canonical configurations are interned as two-word structural
    fingerprints ({!Fingerprint}): the visited set of a multi-million-state
-   exploration must not retain the full structured keys, and the
-   fingerprint is folded directly over the configuration — no key tree,
-   no marshal buffer, no digest string.  Under [~paranoid] the exact
+   exploration must not retain the full structured keys.  With symmetry
+   off the fingerprint is the homomorphic one, hashed once at the root
+   and patched per transition — no key tree, no marshal buffer, no
+   digest string, no re-fold.  Under [~paranoid] the exact
    canonical key is kept instead (collisions impossible; the
    cross-validation mode).  Under source sets the visited key is the
    {e pair} (canonical state, canonical relevant sleep): expansion under
@@ -555,7 +530,6 @@ type state = {
   onstack : unit Vtbl.t;
   commute : commute_cache;
   paranoid : bool;
-  fp_mode : fp_mode;
   mutable states : int;
   mutable transitions : int;
   mutable terminals : int;
@@ -610,43 +584,9 @@ let stats_of ?(frontier_bytes = 0) st =
     limit_reason = st.limit_reason;
   }
 
-(* Visited-set key of [config] under a reduction: the fingerprint of the
-   canonical representative of its orbit (the exact key under
-   [paranoid]), plus the renaming that canonicalizes (identity when
-   symmetry is off).  Without symmetry the fingerprint is folded straight
-   over the configuration; with symmetry the canonical key tree is
-   already materialized by the orbit minimization, so only the
-   marshal+digest step is saved. *)
-let key_of ~paranoid (reduction : reduction) config =
-  match reduction.symmetry with
-  | None ->
-    if paranoid then (Fingerprint.Exact (Config.key config), None)
-    else (Fingerprint.Fp (Fingerprint.of_config config), None)
-  | Some sym ->
-    let key, pi = Symmetry.canonical_key sym config in
-    ( (if paranoid then Fingerprint.Exact key
-       else Fingerprint.Fp (Fingerprint.of_value key)),
-      Some pi )
-
-let state_key ?(paranoid = false) reduction config =
-  fst (key_of ~paranoid reduction config)
-
-(* The bare two-lane fingerprint of the canonical representative — the
-   parallel engine's claim-table path, which stores the raw lanes and
-   never allocates a [Fingerprint.key] wrapper. *)
-let state_fingerprint (reduction : reduction) config =
-  match reduction.symmetry with
-  | None -> Fingerprint.of_config config
-  | Some sym ->
-    let key, _ = Symmetry.canonical_key sym config in
-    Fingerprint.of_value key
-
-(* (state, sleep) visited key: the state key extended with the canonical
-   relevant sleep.  An empty relevant sleep leaves the state key
-   untouched, so source-set-off searches and terminal states key exactly
-   as before.  Returns the canonicalizing renaming (for canonical sibling
-   ordering in [source_successors]) and the restricted concrete sleep
-   (the base the children inherit). *)
+(* Attach the packed relevant sleep to a state key.  An empty relevant
+   sleep leaves the state key untouched, so source-set-off searches and
+   terminal states key exactly as plain state keys. *)
 let extend_with_sleep key packed =
   match packed with
   | [] -> key
@@ -663,7 +603,21 @@ let extend_with_sleep key packed =
              Value.Pair (v, Value.Vec (List.map (fun x -> Value.Int x) packed))
            )))
 
-let source_key ?(paranoid = false) (reduction : reduction) ~max_crashes config
+(* The visited key of a canonical orbit key tree. *)
+let orbit_key ~paranoid key =
+  if paranoid then Fingerprint.Exact key
+  else Fingerprint.Fp (Fingerprint.of_value key)
+
+(* The one claim-key policy of both engines.  With symmetry off the state
+   key is the homomorphic fingerprint — [carried], patched from the
+   parent's, when the engine has it, else a [hom_of_config] fold — and
+   the exact [Config.key] under [~paranoid]; under symmetry it is the
+   canonical orbit key (its fingerprint, or the exact key under
+   [~paranoid]).  Either way it is extended with the canonical relevant
+   sleep.  Returns the canonicalizing renaming (for canonical sibling
+   ordering in [source_successors]) and the restricted concrete sleep
+   (the base the children inherit). *)
+let claim_key ~paranoid (reduction : reduction) ~max_crashes ~carried config
     ~sleep =
   let sleep =
     if reduction.source_sets then restrict_sleep ~max_crashes config sleep
@@ -671,55 +625,27 @@ let source_key ?(paranoid = false) (reduction : reduction) ~max_crashes config
   in
   match (reduction.symmetry, sleep) with
   | None, _ ->
-    let key, pi = key_of ~paranoid reduction config in
-    (extend_with_sleep key (packed_sleep None sleep), pi, sleep)
-  | Some _, [] ->
-    let key, pi = key_of ~paranoid reduction config in
-    (key, pi, [])
+    let key =
+      if paranoid then Fingerprint.Exact (Config.key config)
+      else
+        Fingerprint.Fp
+          (match carried with
+          | Some fp -> fp
+          | None -> Fingerprint.hom_of_config config)
+    in
+    (extend_with_sleep key (packed_sleep None sleep), None, sleep)
+  | Some sym, [] ->
+    let key, pi = Symmetry.canonical_key sym config in
+    (orbit_key ~paranoid key, Some pi, [])
   | Some sym, _ ->
     let key, minimizers = Symmetry.canonical_minimizers sym config in
-    let key =
-      if paranoid then Fingerprint.Exact key
-      else Fingerprint.Fp (Fingerprint.of_value key)
-    in
-    ( extend_with_sleep key (canonical_packed_sleep minimizers sleep),
+    ( extend_with_sleep (orbit_key ~paranoid key)
+        (canonical_packed_sleep minimizers sleep),
       Some (List.hd minimizers),
       sleep )
 
-(* Raw-lane variant of [source_key] for the parallel claim table. *)
-let source_fingerprint (reduction : reduction) ~max_crashes config ~sleep =
-  let sleep =
-    if reduction.source_sets then restrict_sleep ~max_crashes config sleep
-    else []
-  in
-  match (reduction.symmetry, sleep) with
-  | None, _ ->
-    let fp = Fingerprint.of_config config in
-    (List.fold_left Fingerprint.extend fp (packed_sleep None sleep), None, sleep)
-  | Some sym, [] ->
-    let key, pi = Symmetry.canonical_key sym config in
-    (Fingerprint.of_value key, Some pi, [])
-  | Some sym, _ ->
-    let key, minimizers = Symmetry.canonical_minimizers sym config in
-    let fp =
-      List.fold_left Fingerprint.extend
-        (Fingerprint.of_value key)
-        (canonical_packed_sleep minimizers sleep)
-    in
-    (fp, Some (List.hd minimizers), sleep)
-
-(* [source_fingerprint] when the bare state fingerprint is already in
-   hand (the incremental engines carry it patched from the parent's, so
-   the claim key costs O(|relevant sleep|) instead of a configuration
-   re-fold).  Only valid with symmetry off — the incremental path never
-   carries a fingerprint under symmetry quotienting. *)
-let source_fingerprint_from fp (reduction : reduction) ~max_crashes config
-    ~sleep =
-  let sleep =
-    if reduction.source_sets then restrict_sleep ~max_crashes config sleep
-    else []
-  in
-  (List.fold_left Fingerprint.extend fp (packed_sleep None sleep), None, sleep)
+let source_key ?(paranoid = false) reduction ~max_crashes config ~sleep =
+  claim_key ~paranoid reduction ~max_crashes ~carried:None config ~sleep
 
 (* One enabled transition bundle of the expansion, with the sleep set its
    children inherit (concrete coordinates of {e this} configuration).
@@ -884,10 +810,10 @@ let rec dfs st config fp rev_trace depth sleep =
     if st.limit_reason = No_limit then st.limit_reason <- Max_depth
   end
   else begin
-    (* [fp] is [Some] only on the incremental lanes (symmetry off): the
-       state's homomorphic fingerprint, patched from the parent's.  Under
-       [~paranoid] the visited keys stay exact but the carried
-       fingerprint is cross-validated against a full re-fold. *)
+    (* [fp] is [Some] exactly with symmetry off: the state's homomorphic
+       fingerprint, patched from the parent's.  Under [~paranoid] the
+       visited keys stay exact but the carried fingerprint is
+       cross-validated against a full re-fold. *)
     (match fp with
     | Some f when st.paranoid ->
       st.fp_refolds <- st.fp_refolds + 1;
@@ -895,19 +821,8 @@ let rec dfs st config fp rev_trace depth sleep =
         st.fp_mismatches <- st.fp_mismatches + 1
     | _ -> ());
     let key, pi, sleep =
-      match fp with
-      | Some f when not st.paranoid ->
-        let sleep =
-          if st.reduction.source_sets then
-            restrict_sleep ~max_crashes:st.max_crashes config sleep
-          else []
-        in
-        ( extend_with_sleep (Fingerprint.Fp f) (packed_sleep None sleep),
-          None,
-          sleep )
-      | _ ->
-        source_key ~paranoid:st.paranoid st.reduction
-          ~max_crashes:st.max_crashes config ~sleep
+      claim_key ~paranoid:st.paranoid st.reduction ~max_crashes:st.max_crashes
+        ~carried:fp config ~sleep
     in
     if Vtbl.mem st.onstack key then begin
       (* Back-edge into the current DFS stack: an infinite schedule (modulo
@@ -983,14 +898,13 @@ let table_hint expected_states =
 
 let make_state ?(max_states = 5_000_000) ?(max_depth = 10_000)
     ?(max_crashes = 0) ?(max_recoveries = 0) ?deadline ?expected_states
-    ?(reduction = no_reduction) ?(paranoid = false) ?fp
+    ?(reduction = no_reduction) ?(paranoid = false)
     ?(stop_on_cycle = false) ?(on_visit = fun _ _ -> ()) on_terminal =
   {
     visited = Vtbl.create (table_hint expected_states);
     onstack = Vtbl.create 256;
     commute = commute_cache ();
     paranoid;
-    fp_mode = (match fp with Some m -> m | None -> default_fp ());
     states = 0;
     transitions = 0;
     terminals = 0;
@@ -1034,8 +948,9 @@ let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
 
 let run_search label st config =
   let t0 = Sys.time () in
+  (* Symmetry-off lanes hash the root once and patch from there on. *)
   let fp0 =
-    if st.fp_mode = Incremental && st.reduction.symmetry = None then begin
+    if st.reduction.symmetry = None then begin
       st.fp_refolds <- st.fp_refolds + 1;
       Some (Fingerprint.hom_of_config config)
     end
@@ -1091,10 +1006,10 @@ let run_search label st config =
   s
 
 let iter_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~f =
+    ?deadline ?expected_states ?reduction ?paranoid config ~f =
   let st =
     make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp f
+      ?expected_states ?reduction ?paranoid f
   in
   run_search "iter_terminals" st config
 
@@ -1103,19 +1018,19 @@ let iter_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
    and the reduction's guarantee covers terminals, not every intermediate
    state. *)
 let iter_reachable ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~f =
+    ?deadline ?expected_states ?reduction ?paranoid config ~f =
   let reduction =
     Option.map (fun r -> { r with source_sets = false }) reduction
   in
   let st =
     make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp ~on_visit:f
+      ?expected_states ?reduction ?paranoid ~on_visit:f
       (fun _ _ -> ())
   in
   run_search "iter_reachable" st config
 
 let find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~violates =
+    ?deadline ?expected_states ?reduction ?paranoid config ~violates =
   let found = ref None in
   let on_terminal c trace =
     if violates c then begin
@@ -1125,16 +1040,16 @@ let find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
   in
   let st =
     make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp on_terminal
+      ?expected_states ?reduction ?paranoid on_terminal
   in
   let stats = run_search "find_terminal" st config in
   (!found, stats)
 
 let check_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~ok =
+    ?deadline ?expected_states ?reduction ?paranoid config ~ok =
   match
     find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
-      ?deadline ?expected_states ?reduction ?paranoid ?fp config
+      ?deadline ?expected_states ?reduction ?paranoid config
       ~violates:(fun c -> not (ok c))
   with
   | None, stats -> Ok stats
@@ -1145,13 +1060,13 @@ let check_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
    back-edge still witnesses an infinite run (apply the automorphism
    repeatedly to extend the lasso). *)
 let find_cycle ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?reduction ?paranoid ?fp config =
+    ?expected_states ?reduction ?paranoid config =
   let reduction =
     Option.map (fun r -> { r with source_sets = false }) reduction
   in
   let st =
     make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp ~stop_on_cycle:true
+      ?expected_states ?reduction ?paranoid ~stop_on_cycle:true
       (fun _ _ -> ())
   in
   let stats = run_search "find_cycle" st config in

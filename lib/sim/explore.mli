@@ -3,13 +3,14 @@
     Explores {e all} interleavings of process steps {e and} all resolutions
     of object nondeterminism, by depth-first search over configurations.
     Configurations are memoized by a 126-bit structural fingerprint
-    ({!Fingerprint.t}) folded directly over the configuration — no
-    intermediate key tree, no marshal buffer — which agrees with
-    [Config.key] equality (sound because programs are deterministic
-    functions of their response histories; collisions have odds ~2^-126
-    per pair).  Pass [~paranoid:true] to memoize by the exact canonical
-    key instead — collisions impossible, memory proportional to key size;
-    the test suite cross-validates the two modes.
+    ({!Fingerprint.t}) — homomorphic, so it is hashed once at the root
+    and patched per transition, with no intermediate key tree and no
+    marshal buffer — which agrees with [Config.key] equality (sound
+    because programs are deterministic functions of their response
+    histories; collisions have odds ~2^-126 per pair).  Pass
+    [~paranoid:true] to memoize by the exact canonical key instead —
+    collisions impossible, memory proportional to key size; the test
+    suite cross-validates the two modes.
 
     Crash faults are part of the transition relation: with [~max_crashes:f]
     the search also branches on crashing any running process, as long as
@@ -83,30 +84,17 @@ val reason_truncates : limit_reason -> bool
 (** Whether the reason makes the search inconclusive ([Max_states],
     [Max_depth], [Deadline]). *)
 
-(** {1 Fingerprinting strategy}
+(** {1 Fingerprinting}
 
-    How visited-set keys are produced on the unreduced (symmetry-off)
-    lanes.  [Incremental] (the default) hashes the root once with the
-    homomorphic fold ({!Fingerprint.hom_of_config}) and then {e patches}
-    each child's fingerprint from its parent's through the slots the
-    transition rewrote ({!Step.slots}) — O(1) per transition.  [Full]
-    re-folds every state from scratch ({!Fingerprint.of_config}) — the
-    escape hatch and cross-validation baseline.  Both are injective up to
-    ~2^-126 collisions on canonical content, so states/transitions/
-    terminal counts and verdicts are identical across the two modes.
-    Symmetry-canonicalized keys always take the existing [of_value] path;
-    [~paranoid] keys stay exact, and the carried incremental fingerprint
-    is then cross-validated against a re-fold at every node
-    ([fp.paranoid_mismatches]; any mismatch fails the search loudly). *)
-type fp_mode = Incremental | Full
-
-val pp_fp_mode : Format.formatter -> fp_mode -> unit
-
-val set_default_fp : fp_mode -> unit
-(** Process-wide default for searches that do not pin [?fp] (the CLI's
-    [--fp] flag lands here). *)
-
-val default_fp : unit -> fp_mode
+    With symmetry off, visited-set keys are homomorphic fingerprints
+    ({!Fingerprint.hom_of_config}): the root is hashed once and each
+    child's fingerprint is {e patched} from its parent's through the
+    slots the transition rewrote ({!Step.slots}) — O(1) per transition.
+    Symmetry-canonicalized keys fingerprint the canonical orbit key
+    ({!Fingerprint.of_value}).  [~paranoid] keys stay exact, and the
+    carried fingerprint is then cross-validated against a re-fold at
+    every node ([fp.paranoid_mismatches]; any mismatch fails the search
+    loudly).  {!claim_key} is the one key policy of both engines. *)
 
 val set_fp_fault_injection : int -> unit
 (** Test-only: corrupt every [n]-th patched fingerprint ([0] disables,
@@ -335,13 +323,29 @@ val set_commute_cache_bound : int -> unit
 val get_commute_cache_bound : unit -> int
 val default_commute_cache_bound : int
 
-(** [source_key reduction ~max_crashes config ~sleep] — the visited key of
-    the (configuration, sleep) node: the canonical state key extended with
+(** [claim_key ~paranoid reduction ~max_crashes ~carried config ~sleep]
+    — the visited key of the (configuration, sleep) node, shared by the
+    sequential DFS and every parallel worker: the state key extended with
     the canonical enabled-restricted sleep set (the extension is the
     identity when the relevant sleep is empty, so source-set-off searches
-    and terminal states key exactly as plain state keys).  Also returns
-    the canonicalizing renaming and the restricted concrete sleep — the
-    inputs {!source_successors} needs. *)
+    and terminal states key as plain state keys).  The state key is the
+    exact {!Config.key} under [~paranoid] and, under symmetry, the
+    canonical orbit key or its fingerprint; otherwise it is [carried]
+    (the homomorphic fingerprint patched from the parent's) or, when
+    [carried] is [None], a {!Fingerprint.hom_of_config} fold.  Also
+    returns the canonicalizing renaming and the restricted concrete
+    sleep — the inputs {!source_successors} needs. *)
+val claim_key :
+  paranoid:bool ->
+  reduction ->
+  max_crashes:int ->
+  carried:Fingerprint.t option ->
+  Config.t ->
+  sleep:tr list ->
+  Fingerprint.key * Symmetry.perm option * tr list
+
+(** [source_key reduction ~max_crashes config ~sleep] — {!claim_key}
+    computed from scratch ([~carried:None]). *)
 val source_key :
   ?paranoid:bool ->
   reduction ->
@@ -349,29 +353,6 @@ val source_key :
   Config.t ->
   sleep:tr list ->
   Fingerprint.key * Symmetry.perm option * tr list
-
-val source_fingerprint :
-  reduction ->
-  max_crashes:int ->
-  Config.t ->
-  sleep:tr list ->
-  Fingerprint.t * Symmetry.perm option * tr list
-(** Raw-two-lane variant of {!source_key} for the parallel engine's
-    lock-free claim table, which stores bare lanes and never allocates a
-    {!Fingerprint.key}. *)
-
-val source_fingerprint_from :
-  Fingerprint.t ->
-  reduction ->
-  max_crashes:int ->
-  Config.t ->
-  sleep:tr list ->
-  Fingerprint.t * Symmetry.perm option * tr list
-(** {!source_fingerprint} when the bare state fingerprint is already in
-    hand — the incremental engines carry it patched from the parent's, so
-    the claim key costs O(|relevant sleep|) instead of a re-fold.  Only
-    meaningful with symmetry off (the incremental path never carries a
-    fingerprint under symmetry quotienting). *)
 
 val patched_fingerprint :
   Config.t -> Fingerprint.t -> Step.slots -> Config.t -> Fingerprint.t
@@ -407,22 +388,10 @@ val source_successors :
     under [pi]), minus those asleep (their count is returned — the
     [source_skips] contribution), each paired with its children's sleep
     set.  [sleep] must be the restricted sleep returned by
-    {!source_key}/{!source_fingerprint} for the same configuration.
+    {!claim_key} for the same configuration.
     Deterministic per canonical key — the property that makes the
     reduction safe under work stealing. *)
 
-
-(** [state_key reduction config] — the plain visited-set key of [config]
-    under [reduction] (no sleep extension): the structural fingerprint of
-    the canonical orbit representative ([Fingerprint.Fp]), or the exact
-    canonical key under [~paranoid:true] ([Fingerprint.Exact]).  Exposed
-    for per-state memoization outside the explorer (e.g. solo-run bounds)
-    and for the cross-validation tests. *)
-val state_key : ?paranoid:bool -> reduction -> Config.t -> Fingerprint.key
-
-val state_fingerprint : reduction -> Config.t -> Fingerprint.t
-(** The bare two-lane fingerprint of the canonical orbit representative
-    (no sleep extension). *)
 
 (** {1 Entry points} *)
 
@@ -439,7 +408,6 @@ val iter_terminals :
   ?expected_states:int ->
   ?reduction:reduction ->
   ?paranoid:bool ->
-  ?fp:fp_mode ->
   Config.t ->
   f:(Config.t -> Trace.t -> unit) ->
   stats
@@ -459,7 +427,6 @@ val iter_reachable :
   ?expected_states:int ->
   ?reduction:reduction ->
   ?paranoid:bool ->
-  ?fp:fp_mode ->
   Config.t ->
   f:(Config.t -> Trace.t Lazy.t -> unit) ->
   stats
@@ -475,7 +442,6 @@ val find_terminal :
   ?expected_states:int ->
   ?reduction:reduction ->
   ?paranoid:bool ->
-  ?fp:fp_mode ->
   Config.t ->
   violates:(Config.t -> bool) ->
   (Config.t * Trace.t) option * stats
@@ -491,7 +457,6 @@ val check_terminals :
   ?expected_states:int ->
   ?reduction:reduction ->
   ?paranoid:bool ->
-  ?fp:fp_mode ->
   Config.t ->
   ok:(Config.t -> bool) ->
   (stats, Config.t * Trace.t * stats) result
@@ -512,6 +477,5 @@ val find_cycle :
   ?expected_states:int ->
   ?reduction:reduction ->
   ?paranoid:bool ->
-  ?fp:fp_mode ->
   Config.t ->
   Trace.t option * stats

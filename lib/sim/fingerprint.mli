@@ -20,7 +20,9 @@ val pp : Format.formatter -> t -> unit
 
 val of_config : Config.t -> t
 (** One traversal of store + procs; agrees with {!Config.key} equality
-    (continuations erased, histories included). *)
+    (continuations erased, histories included).  Used only by the
+    per-state memo tables of [Progress] and [Valence]; the explorers key
+    by {!hom_of_config}, which they can patch per transition. *)
 
 val of_value : Value.t -> t
 (** Fingerprint of an explicit key tree — the path used under symmetry
@@ -43,9 +45,8 @@ val extend : t -> int -> t
     fingerprint into the child's in O(1) — subtract the old
     contributions, add the new ones — instead of re-folding the whole
     configuration.  [hom_of_config] is a {e different} hash function from
-    {!of_config} with the same ~2^-126 pairwise collision bound; a run
-    keys its visited table consistently by one or the other, never a
-    mixture. *)
+    {!of_config} with the same ~2^-126 pairwise collision bound; the
+    explorers' symmetry-off visited tables key by it alone. *)
 
 val hom_add : t -> t -> t
 (** Group combine: lane 1 adds modulo 2^63, lane 2 XORs.  Associative,
@@ -68,7 +69,7 @@ val hom_base : n_procs:int -> t
 
 val hom_of_config : Config.t -> t
 (** [hom_base ⊕ Σ mix_store_slot ⊕ Σ mix_proc_slot] — the full re-fold;
-    the root of every incremental run, and the [~paranoid]
+    the root of every symmetry-off search, and the [~paranoid]
     cross-validation target for patched fingerprints.  Agrees with
     {!Config.key} equality exactly as {!of_config} does. *)
 

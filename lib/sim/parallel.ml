@@ -68,7 +68,7 @@
    batches interleave.  [states], [transitions], [terminals],
    [hung_terminals], [crashed_terminals], [recovered_terminals],
    [dedup_hits] and [source_skips] are therefore identical at any
-   [partitions] x [jobs] x reduction x fp mode.  [max_depth] and the
+   [partitions] x [jobs] x reduction.  [max_depth] and the
    witness traces are racy.  Cycle detection is not offered: back-edges
    are indistinguishable from cross-edges without a per-domain DFS
    stack discipline, so revisits count as [dedup_hits]; use the
@@ -98,15 +98,9 @@ let default_visited () = Atomic.get default_visited_mode
    2-8x slower than jobs=1 on such families), so the seeding pass keeps
    going — it runs the identical claim/expand path — until it has counted
    this many states; only spaces that outlive the threshold pay for
-   domains.  [SUBC_SEQ_THRESHOLD] overrides (0 restores the old eager
-   spawn), as does [?seq_threshold] per call. *)
-let default_seq_threshold () =
-  match Sys.getenv_opt "SUBC_SEQ_THRESHOLD" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n -> max 0 n
-    | None -> 4096)
-  | None -> 4096
+   domains.  [?seq_threshold] overrides it per call (0 restores the
+   eager spawn). *)
+let default_seq_threshold = 4096
 
 type stop_cause = Budget | Deadline | Callback of exn
 
@@ -123,16 +117,15 @@ type vtable =
 
 (* A work item carries everything its owner needs to claim and expand it
    without re-deriving anything: the configuration, delta-encoded
-   ({!Config.Delta}: under the incremental fingerprint mode each push
-   extends the parent's chain with its transition's one-proc-slot /
-   one-store-slot patch, so an item retains O(1) fresh words; under
-   [Full] every item is a materialized root); the carried homomorphic
-   fingerprint ([Some] exactly on the incremental symmetry-off lanes,
-   for paranoid cross-validation and O(1) child patching); the
-   precomputed claim key; the canonicalizing renaming and
-   enabled-restricted sleep (the [Explore.source_successors] inputs —
-   carried so a stolen subtree prunes identically to an owner-executed
-   one); and the owner partition its key routes to. *)
+   ({!Config.Delta}: each push extends the parent's chain with its
+   transition's one-proc-slot / one-store-slot patch, so an item retains
+   O(1) fresh words); the carried homomorphic fingerprint ([Some]
+   exactly with symmetry off, for paranoid cross-validation and O(1)
+   child patching); the precomputed claim key; the canonicalizing
+   renaming and enabled-restricted sleep (the
+   [Explore.source_successors] inputs — carried so a stolen subtree
+   prunes identically to an owner-executed one); and the owner partition
+   its key routes to. *)
 type work = {
   delta : Config.Delta.t;
   fp : Fingerprint.t option;
@@ -226,7 +219,6 @@ type global = {
   escalated : bool Atomic.t;
   reduction : Explore.reduction;
   paranoid : bool;
-  fp_mode : Explore.fp_mode;
   frontier_peak : int Atomic.t;
   cb_lock : Mutex.t;
   on_terminal : Config.t -> Trace.t -> unit;
@@ -266,25 +258,6 @@ let[@inline] route key n =
   else
     let x = Fingerprint.key_hash key in
     Claim_table.fold_key x (x lxor 0x9E3779B97F4A7C5) land max_int mod n
-
-(* The claim key, canonicalizing renaming and restricted sleep of a
-   configuration — computed by the producer, which already holds the
-   materialized configuration.  The incremental fast path: the carried
-   fingerprint IS the claim key (extended with the relevant sleep when
-   source sets are on), so no re-fold is needed. *)
-let make_key g fp config ~sleep =
-  match fp with
-  | Some f when not g.paranoid ->
-    if g.reduction.Explore.source_sets && sleep <> [] then
-      let fp', pi, rs =
-        Explore.source_fingerprint_from f g.reduction
-          ~max_crashes:g.max_crashes config ~sleep
-      in
-      (Fingerprint.Fp fp', pi, rs)
-    else (Fingerprint.Fp f, None, [])
-  | _ ->
-    Explore.source_key ~paranoid:g.paranoid g.reduction
-      ~max_crashes:g.max_crashes config ~sleep
 
 (* Claim [item]'s key in its owner partition's table.  [`Fresh] means
    this worker owns the node and must expand it; [`Dup] means another
@@ -504,16 +477,18 @@ let process ctx item =
                        (Explore.patched_fingerprint config f slots config'))
               in
               let delta' =
-                match g.fp_mode with
-                | Explore.Full -> Config.Delta.root config'
-                | Explore.Incremental ->
-                  let i = slots.Step.sl_proc in
-                  Config.Delta.extend item.delta
-                    ~proc_sets:[ (i, config'.Config.procs.(i)) ]
-                    ~store_sets:slots.Step.sl_store
+                let i = slots.Step.sl_proc in
+                Config.Delta.extend item.delta
+                  ~proc_sets:[ (i, config'.Config.procs.(i)) ]
+                  ~store_sets:slots.Step.sl_store
               in
+              (* The producer holds the materialized successor, so it
+                 computes the claim key, through the sequential DFS's own
+                 key policy. *)
               let ckey, pi, rsleep =
-                make_key g fp' config' ~sleep:grp.Explore.g_sleep
+                Explore.claim_key ~paranoid:g.paranoid g.reduction
+                  ~max_crashes:g.max_crashes ~carried:fp' config'
+                  ~sleep:grp.Explore.g_sleep
               in
               let owner = route ckey g.n_parts in
               ctx.stats.pushed_items <- ctx.stats.pushed_items + 1;
@@ -819,7 +794,7 @@ let fresh_buffers n =
 let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
     ?(max_crashes = 0) ?(max_recoveries = 0) ?deadline ?expected_states
     ?(escalate_threshold = 1e-6) ?(reduction = Explore.no_reduction)
-    ?(paranoid = false) ?fp ?seed_target ?seq_threshold ?(batch_size = 64)
+    ?(paranoid = false) ?seed_target ?seq_threshold ?(batch_size = 64)
     ?spill ?(partitions = 1) ~jobs ~on_terminal ~on_visit label config =
   let n_parts = max 1 partitions in
   let jobs_per_part = max 1 (max 1 jobs / n_parts) in
@@ -830,13 +805,12 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
   (* Exact canonical keys under [~paranoid] only fit the hashtable
      representation — it wins over both the visited mode and [?spill]. *)
   let visited = if paranoid then Sharded else visited in
-  let fp_mode = match fp with Some m -> m | None -> Explore.default_fp () in
-  (* The incremental lanes carry a homomorphic fingerprint only with
-     symmetry off (canonical keys go through the orbit minimization);
-     under [~paranoid] it is carried for cross-validation while the
-     claim keys stay exact. *)
+  (* A homomorphic fingerprint is carried only with symmetry off
+     (canonical keys go through the orbit minimization); under
+     [~paranoid] it is carried for cross-validation while the claim keys
+     stay exact. *)
   let root_fp =
-    if fp_mode = Explore.Incremental && reduction.Explore.symmetry = None then
+    if reduction.Explore.symmetry = None then
       Some (Fingerprint.hom_of_config config)
     else None
   in
@@ -853,7 +827,7 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
     | None -> (
       match seq_threshold with
       | Some n -> max 0 n
-      | None -> default_seq_threshold ())
+      | None -> default_seq_threshold)
   in
   let shards () =
     let slots = if threshold > 0 then 64 else 1024 in
@@ -913,14 +887,16 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
       escalated = Atomic.make false;
       reduction;
       paranoid;
-      fp_mode;
       frontier_peak = Atomic.make 0;
       cb_lock = Mutex.create ();
       on_terminal;
       on_visit;
     }
   in
-  let rkey, rpi, rsleep = make_key g root_fp config ~sleep:[] in
+  let rkey, rpi, rsleep =
+    Explore.claim_key ~paranoid ~max_crashes reduction ~carried:root_fp config
+      ~sleep:[]
+  in
   let root =
     {
       delta = Config.Delta.root config;
@@ -1056,17 +1032,17 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
 
 let iter_terminals ?visited ?max_states ?max_depth ?max_crashes
     ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
+    ?paranoid ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
     ~jobs config ~f =
   run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp ?seed_target
+    ?expected_states ?escalate_threshold ?reduction ?paranoid ?seed_target
     ?seq_threshold ?batch_size ?spill ?partitions ~jobs ~on_terminal:f
     ~on_visit:(fun _ _ -> ())
     "iter_terminals" config
 
 let iter_reachable ?visited ?max_states ?max_depth ?max_crashes
     ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
+    ?paranoid ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
     ~jobs config ~f =
   (* Source sets are stripped exactly as in {!Explore.iter_reachable}:
      reachability consumers quantify over every configuration. *)
@@ -1074,13 +1050,13 @@ let iter_reachable ?visited ?max_states ?max_depth ?max_crashes
     Option.map (fun r -> { r with Explore.source_sets = false }) reduction
   in
   run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp ?seed_target
+    ?expected_states ?escalate_threshold ?reduction ?paranoid ?seed_target
     ?seq_threshold ?batch_size ?spill ?partitions ~jobs
     ~on_terminal:(fun _ _ -> ())
     ~on_visit:f "iter_reachable" config
 
 let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
+    ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid
     ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs config
     ~violates =
   let found = ref None in
@@ -1094,23 +1070,10 @@ let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
   in
   let stats =
     run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
+      ?expected_states ?escalate_threshold ?reduction ?paranoid
       ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs
       ~on_terminal
       ~on_visit:(fun _ _ -> ())
       "find_terminal" config
   in
   (!found, stats)
-
-let check_terminals ?visited ?max_states ?max_depth ?max_crashes
-    ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
-    ~jobs config ~ok =
-  match
-    find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
-      ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
-      ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs config
-      ~violates:(fun c -> not (ok c))
-  with
-  | None, stats -> Ok stats
-  | Some (c, trace), stats -> Error (c, trace, stats)

@@ -99,7 +99,7 @@
     so an orbit's members race for a single slot.  Source sets ride
     inside the work items: each item carries the sleep set computed at
     its parent, the claim key is the (canonical configuration, canonical
-    relevant sleep) pair ({!Explore.source_key}), and expansion calls
+    relevant sleep) pair ({!Explore.claim_key}), and expansion calls
     the same {!Explore.source_successors} as the sequential explorer — a
     pure function of the claimed pair under the canonical sibling order.
     A stolen or batched subtree therefore prunes {e identically} to the
@@ -135,25 +135,21 @@ val set_default_visited : visited -> unit
 
 val default_visited : unit -> visited
 
-val default_seq_threshold : unit -> int
-(** The auto-sequential fallback threshold: the seeding pass (which runs
-    the identical claim/expand path on the calling domain) keeps going
-    until it has counted this many states before any worker domain is
-    spawned, so small state spaces — where E21 measures the spawn + steal
-    machinery at 2-8x the cost of the whole search — complete
-    sequentially with identical stats.  Defaults to [4096]; the
-    [SUBC_SEQ_THRESHOLD] environment variable overrides it process-wide
-    ([0] restores the historical eager spawn) and [?seq_threshold]
-    overrides it per call.  Passing [?seed_target] disables the fallback:
-    those callers want the domains regardless of size. *)
+val default_seq_threshold : int
+(** The auto-sequential fallback threshold, [4096]: the seeding pass
+    (which runs the identical claim/expand path on the calling domain)
+    keeps going until it has counted this many states before any worker
+    domain is spawned, so small state spaces — where the spawn + steal
+    machinery costs 2-8x the whole search — complete sequentially with
+    identical stats.  [?seq_threshold] overrides it per call ([0]
+    restores the eager spawn).  Passing [?seed_target] disables the
+    fallback: those callers want the domains regardless of size. *)
 
-(** Every entry point also takes [?fp], selecting the fingerprint mode
-    exactly as in {!Explore} (defaulting to {!Explore.default_fp}).
-    Under [Incremental] (symmetry off) work items travel delta-encoded
-    ({!Config.Delta}) with a carried homomorphic fingerprint, so a
-    duplicate claim needs neither a materialization nor a re-fold; the
-    merged stats expose [frontier_bytes] — peak deque population times
-    the mean retained words per item. *)
+(** Work items travel delta-encoded ({!Config.Delta}) with their claim
+    key attached — with symmetry off, also with a carried homomorphic
+    fingerprint — so a duplicate claim needs neither a materialization
+    nor a re-fold; the merged stats expose [frontier_bytes] — peak deque
+    population times the mean retained words per item. *)
 
 val iter_terminals :
   ?visited:visited ->
@@ -166,7 +162,6 @@ val iter_terminals :
   ?escalate_threshold:float ->
   ?reduction:Explore.reduction ->
   ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
   ?batch_size:int ->
@@ -194,7 +189,6 @@ val iter_reachable :
   ?escalate_threshold:float ->
   ?reduction:Explore.reduction ->
   ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
   ?batch_size:int ->
@@ -220,7 +214,6 @@ val find_terminal :
   ?escalate_threshold:float ->
   ?reduction:Explore.reduction ->
   ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
   ?batch_size:int ->
@@ -232,27 +225,3 @@ val find_terminal :
   (Config.t * Trace.t) option * Explore.stats
 (** Parallel {!Explore.find_terminal}: whether a violating terminal exists
     is deterministic; {e which} one is returned is not. *)
-
-val check_terminals :
-  ?visited:visited ->
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?escalate_threshold:float ->
-  ?reduction:Explore.reduction ->
-  ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
-  ?seed_target:int ->
-  ?seq_threshold:int ->
-  ?batch_size:int ->
-  ?spill:string ->
-  ?partitions:int ->
-  jobs:int ->
-  Config.t ->
-  ok:(Config.t -> bool) ->
-  (Explore.stats, Config.t * Trace.t * Explore.stats) result
-(** Parallel {!Explore.check_terminals}: the [Ok]/[Error] outcome is
-    deterministic, the counterexample in [Error] need not be. *)

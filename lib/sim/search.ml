@@ -13,7 +13,6 @@ type options = {
   expected_states : int option;
   reduction : Explore.reduction;
   paranoid : bool;
-  fp : Explore.fp_mode option;
   jobs : int;
   visited : Parallel.visited option;
   partitions : int;
@@ -31,7 +30,6 @@ let default =
     expected_states = None;
     reduction = Explore.no_reduction;
     paranoid = false;
-    fp = None;
     jobs = 1;
     visited = None;
     partitions = 1;
@@ -51,7 +49,6 @@ let with_independence i o =
   { o with reduction = Explore.with_independence i o.reduction }
 
 let with_paranoid b o = { o with paranoid = b }
-let with_fp m o = { o with fp = Some m }
 let with_jobs n o = { o with jobs = max 1 n }
 let with_visited v o = { o with visited = Some v }
 let with_partitions n o = { o with partitions = max 1 n }
@@ -75,10 +72,7 @@ let pp ppf o =
     (match o.spill with
     | None -> ""
     | Some dir -> Printf.sprintf " spill=%s" dir)
-    o.paranoid Explore.pp_reduction o.reduction;
-  match o.fp with
-  | None -> ()
-  | Some m -> Format.fprintf ppf " fp=%a" Explore.pp_fp_mode m
+    o.paranoid Explore.pp_reduction o.reduction
 
 (* Two engines: the sequential reference explorer, and the parallel one
    whenever more than one domain, more than one partition or spilling is
@@ -92,13 +86,13 @@ let iter_terminals ?(options = default) config ~f =
     Explore.iter_terminals ~max_states:o.max_states ~max_depth:o.max_depth
       ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
       ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+      ~reduction:o.reduction ~paranoid:o.paranoid config ~f
   else
     Parallel.iter_terminals ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
+      ~paranoid:o.paranoid ?seq_threshold:o.seq_threshold
       ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
 
 let iter_reachable ?(options = default) config ~f =
@@ -107,13 +101,13 @@ let iter_reachable ?(options = default) config ~f =
     Explore.iter_reachable ~max_states:o.max_states ~max_depth:o.max_depth
       ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
       ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+      ~reduction:o.reduction ~paranoid:o.paranoid config ~f
   else
     Parallel.iter_reachable ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
+      ~paranoid:o.paranoid ?seq_threshold:o.seq_threshold
       ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
 
 let find_terminal ?(options = default) config ~violates =
@@ -122,13 +116,13 @@ let find_terminal ?(options = default) config ~violates =
     Explore.find_terminal ~max_states:o.max_states ~max_depth:o.max_depth
       ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
       ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~violates
+      ~reduction:o.reduction ~paranoid:o.paranoid config ~violates
   else
     Parallel.find_terminal ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
+      ~paranoid:o.paranoid ?seq_threshold:o.seq_threshold
       ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~violates
 
 let check_terminals ?(options = default) config ~ok =
@@ -143,4 +137,4 @@ let find_cycle ?(options = default) config =
   Explore.find_cycle ~max_states:o.max_states ~max_depth:o.max_depth
     ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
     ?deadline:o.deadline ?expected_states:o.expected_states
-    ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config
+    ~reduction:o.reduction ~paranoid:o.paranoid config

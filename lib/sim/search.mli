@@ -21,7 +21,8 @@
     otherwise the work-stealing, partitioned {!Parallel} engine.  On
     either path the observable counts and verdicts agree (see the
     determinism notes in {!Parallel}); [--reduction full] runs at full
-    strength on both. *)
+    strength on both.  Both engines key their visited sets through the
+    one claim-key policy {!Explore.claim_key}. *)
 
 type options = {
   max_states : int;  (** visited-state budget (default [5_000_000]) *)
@@ -32,8 +33,6 @@ type options = {
   expected_states : int option;  (** visited-table pre-size hint *)
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
   paranoid : bool;  (** exact canonical keys, no fingerprints *)
-  fp : Explore.fp_mode option;
-      (** fingerprint mode; [None] defers to {!Explore.default_fp} *)
   jobs : int;  (** worker domains; [<= 1] means sequential *)
   visited : Parallel.visited option;
       (** parallel visited-table representation; [None] defers to
@@ -71,10 +70,6 @@ val with_independence : Explore.independence -> options -> options
     judge on uncovered pairs), [Both] cross-validates. *)
 
 val with_paranoid : bool -> options -> options
-
-val with_fp : Explore.fp_mode -> options -> options
-(** Pin the fingerprint mode ([Incremental] patches the parent's
-    homomorphic hash per step; [Full] re-folds every configuration). *)
 
 val with_jobs : int -> options -> options
 (** Clamped to at least [1]. *)
@@ -126,5 +121,5 @@ val check_terminals :
 val find_cycle :
   ?options:options -> Config.t -> Trace.t option * Explore.stats
 (** Always sequential — cycle detection needs the DFS stack discipline —
-    but honors every other field of [options] ([jobs] and [visited] are
-    ignored). *)
+    but honors every other field of [options] (the parallel knobs [jobs],
+    [visited], [partitions], [spill] and [seq_threshold] are ignored). *)

@@ -7,8 +7,9 @@
    bit-for-bit.  The suite checks that identity over every reachable
    state of several families (process steps, crashes, recoveries), the
    group laws it rests on, the delta-chain materialization it travels
-   with, engine-level count agreement between [--fp incremental] and
-   [--fp full] at jobs 1 and 4, and — via seeded fault injection — that
+   with, the claim key both engines build from a carried fingerprint,
+   engine-level count agreement between fingerprint and [~paranoid]
+   exact keys at jobs 1 and 4, and — via seeded fault injection — that
    [~paranoid] actually catches a wrong patch. *)
 open Subc_sim
 open Helpers
@@ -51,13 +52,13 @@ let families =
 let root_of (store, programs, _) = Config.make store programs
 
 (* Every reachable configuration of a family under the given fault
-   budgets, via the full-refold sequential explorer (no reduction, so
-   the enumeration itself does not depend on the machinery under
-   test). *)
+   budgets, via the exact-key sequential explorer (no reduction, and no
+   fingerprint in the visited keys, so the enumeration itself does not
+   depend on the machinery under test). *)
 let reachable ?(max_crashes = 0) ?(max_recoveries = 0) harness =
   let acc = ref [] in
   ignore
-    (Explore.iter_reachable ~max_crashes ~max_recoveries ~fp:Explore.Full
+    (Explore.iter_reachable ~max_crashes ~max_recoveries ~paranoid:true
        (root_of harness) ~f:(fun c _ -> acc := c :: !acc));
   !acc
 
@@ -117,7 +118,57 @@ let check_patch_equals_refold name parent =
     (fun (c', i, sl) -> check_succ (c', `Recover i, sl))
     (Step.recover_successors_slots parent)
 
+(* The claim key both engines build from a carried (patched) fingerprint
+   must equal the key recomputed from scratch, for every successor and
+   every sleep set the source-set expansion hands it. *)
+let key =
+  Alcotest.testable
+    (fun ppf -> function
+      | Fingerprint.Fp f -> Fingerprint.pp ppf f
+      | Fingerprint.Exact v -> Value.pp ppf v)
+    Fingerprint.key_equal
+
+let check_claim_key_from_carried name reduction ~max_crashes ~max_recoveries
+    parent =
+  let f = Fingerprint.hom_of_config parent in
+  let groups, _ =
+    Explore.source_successors (Explore.commute_cache ()) reduction ~pi:None
+      ~max_crashes ~max_recoveries parent ~sleep:[]
+  in
+  List.iter
+    (fun (g : Explore.succ_group) ->
+      List.iter
+        (fun (child, _e, slots) ->
+          let carried = Explore.patched_fingerprint parent f slots child in
+          let k, _, rs =
+            Explore.claim_key ~paranoid:false reduction ~max_crashes
+              ~carried:(Some carried) child ~sleep:g.Explore.g_sleep
+          in
+          let k', _, rs' =
+            Explore.source_key reduction ~max_crashes child
+              ~sleep:g.Explore.g_sleep
+          in
+          Alcotest.check key (name ^ ": carried claim key == source_key") k' k;
+          Alcotest.(check bool) (name ^ ": same restricted sleep") true
+            (rs = rs'))
+        g.Explore.g_succs)
+    groups
+
 let patch_matrix () =
+  List.iter
+    (fun (name, harness, max_crashes, max_recoveries) ->
+      let states = reachable ~max_crashes ~max_recoveries harness in
+      List.iter
+        (fun (rname, reduction) ->
+          List.iter
+            (check_claim_key_from_carried (name ^ "/" ^ rname) reduction
+               ~max_crashes ~max_recoveries)
+            states)
+        [ ("none", Explore.no_reduction); ("source", Explore.source_only) ])
+    [
+      ("alg2/k3/f1", alg2_harness 3, 1, 0);
+      ("alg5/k3/f1r1", alg5_harness 3, 1, 1);
+    ];
   List.iter
     (fun (name, harness) ->
       List.iter
@@ -188,8 +239,8 @@ let delta_roundtrip () =
         intervals)
 
 (* ---------------------------------------------------------------- *)
-(* Engine-level equivalence: identical counts across fingerprint
-   modes, reductions, and job counts.                                *)
+(* Engine-level equivalence: identical counts between fingerprint and
+   exact keys, across reductions and job counts.                     *)
 
 let same_counts name (a : Explore.stats) (b : Explore.stats) =
   Alcotest.(check int) (name ^ " states") a.Explore.states b.Explore.states;
@@ -213,24 +264,24 @@ let engine_equivalence () =
         (fun (rname, reduction) ->
           List.iter
             (fun jobs ->
-              let stats mode =
+              let stats paranoid =
                 Search.iter_terminals
                   ~options:
                     Search.(
                       default |> with_max_crashes 1 |> with_reduction reduction
-                      |> with_fp mode |> with_jobs jobs)
+                      |> with_paranoid paranoid |> with_jobs jobs)
                   config
                   ~f:(fun _ _ -> ())
               in
-              let inc = stats Explore.Incremental in
-              let full = stats Explore.Full in
+              let fp = stats false in
+              let exact = stats true in
               same_counts
                 (Printf.sprintf "%s/%s/j%d" name rname jobs)
-                inc full;
+                fp exact;
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s/j%d frontier gauge" name rname jobs)
                 true
-                (inc.Explore.frontier_bytes > 0))
+                (fp.Explore.frontier_bytes > 0))
             [ 1; 4 ])
         [
           ("none", Explore.no_reduction);
@@ -246,14 +297,11 @@ let engine_equivalence () =
 let paranoid_clean () =
   let config = root_of (alg2_harness 3) in
   let run paranoid =
-    Explore.iter_terminals ~max_crashes:1 ~paranoid ~fp:Explore.Incremental
-      config
-      ~f:(fun _ _ -> ())
+    Explore.iter_terminals ~max_crashes:1 ~paranoid config ~f:(fun _ _ -> ())
   in
   same_counts "paranoid vs not" (run true) (run false);
   let jstats =
-    Parallel.iter_terminals ~max_crashes:1 ~paranoid:true
-      ~fp:Explore.Incremental ~jobs:4 config
+    Parallel.iter_terminals ~max_crashes:1 ~paranoid:true ~jobs:4 config
       ~f:(fun _ _ -> ())
   in
   same_counts "parallel paranoid" jstats (run false)
@@ -265,8 +313,7 @@ let paranoid_catches_mutation () =
     (fun () ->
       Explore.set_fp_fault_injection 5;
       match
-        Explore.iter_terminals ~paranoid:true ~fp:Explore.Incremental config
-          ~f:(fun _ _ -> ())
+        Explore.iter_terminals ~paranoid:true config ~f:(fun _ _ -> ())
       with
       | _ -> Alcotest.fail "corrupted patches went unnoticed"
       | exception Invalid_argument msg ->
@@ -288,7 +335,7 @@ let suite =
         test "homomorphic group laws" hom_group_laws;
         test_slow "patch == refold over reachable states" patch_matrix;
         test "delta chains materialize exactly" delta_roundtrip;
-        test_slow "incremental == full across engines" engine_equivalence;
+        test_slow "fingerprint == paranoid across engines" engine_equivalence;
         test_slow "paranoid cross-validation is clean" paranoid_clean;
         test "paranoid catches a seeded wrong patch" paranoid_catches_mutation;
       ] );

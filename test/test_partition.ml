@@ -219,9 +219,9 @@ let verdicts_agree () =
         (explore_stats_exn seqv) (explore_stats_exn parv))
     [ 2; 4 ]
 
-(* Small spaces never leave the seeding pass: with the default
-   SUBC_SEQ_THRESHOLD the whole search completes sequentially on the
-   calling domain, with identical stats. *)
+(* Small spaces never leave the seeding pass: at the default
+   [Parallel.default_seq_threshold] the whole search completes
+   sequentially on the calling domain, with identical stats. *)
 let seeder_fallback () =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
@@ -403,8 +403,8 @@ let paranoid_cross_validation () =
   List.iter
     (fun partitions ->
       let par =
-        Parallel.iter_terminals ~max_crashes:1 ~paranoid:true
-          ~fp:Explore.Incremental ~seq_threshold:0 ~partitions ~jobs config
+        Parallel.iter_terminals ~max_crashes:1 ~paranoid:true ~seq_threshold:0
+          ~partitions ~jobs config
           ~f:(fun _ _ -> ())
       in
       same_counts
@@ -422,8 +422,8 @@ let paranoid_catches_mutation () =
     (fun () ->
       Explore.set_fp_fault_injection 5;
       match
-        Parallel.iter_terminals ~max_crashes:1 ~paranoid:true
-          ~fp:Explore.Incremental ~seq_threshold:0 ~partitions:2 ~jobs config
+        Parallel.iter_terminals ~max_crashes:1 ~paranoid:true ~seq_threshold:0
+          ~partitions:2 ~jobs config
           ~f:(fun _ _ -> ())
       with
       | _ -> Alcotest.fail "corrupted cross-partition patches went unnoticed"
