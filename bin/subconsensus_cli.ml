@@ -373,26 +373,9 @@ let spill_arg =
           "Out-of-core mode: keep each partition's visited set in mmap'd \
            files of 62-bit compressed claim words under $(docv) (created \
            if absent; segment files are unlinked after mapping, so \
-           nothing persists).  Heap residency drops to bookkeeping; \
-           collision characteristics match $(b,--visited) compressed.  \
-           Runs the parallel engine even at $(b,--jobs) 1.")
-
-let visited_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("sharded", Parallel.Sharded); ("lockfree", Parallel.Lockfree);
-             ("compressed", Parallel.Compressed) ])
-        Parallel.Lockfree
-    & info [ "visited" ] ~docv:"MODE"
-        ~doc:
-          "Visited-table representation for parallel exploration \
-           ($(b,--jobs) > 1): $(b,lockfree) (default; CAS claim table, \
-           124-bit keys), $(b,compressed) (folded 62-bit words, half the \
-           memory, collision bound surfaced in the stats), or \
-           $(b,sharded) (the mutex-sharded baseline).  Verdicts and state \
-           counts are identical across all three.")
+           nothing persists).  Heap residency drops to bookkeeping; the \
+           birthday collision bound of the 62-bit words is reported with \
+           the stats.  Runs the parallel engine even at $(b,--jobs) 1.")
 
 let certified_arg =
   Arg.(
@@ -410,9 +393,8 @@ let certified_arg =
 
 let check_cmd =
   let run alg n k f r deadline expected_states max_states jobs partitions
-      spill visited choice independence certified json metrics =
+      spill choice independence certified json metrics =
     setup_obs ~json ~metrics;
-    Parallel.set_default_visited visited;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let reduction =
       resolve_independence independence
@@ -440,8 +422,8 @@ let check_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ reduction_arg
-      $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
+      $ partitions_arg $ spill_arg $ reduction_arg $ independence_arg
+      $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explore: raw state-space statistics, with or without reductions.    *)
@@ -466,9 +448,8 @@ let stats_fields reduction (stats : Explore.stats) =
 
 let explore_cmd =
   let run alg n k f r deadline expected_states max_states jobs partitions
-      spill visited choice independence certified json metrics =
+      spill choice independence certified json metrics =
     setup_obs ~json ~metrics;
-    Parallel.set_default_visited visited;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let store, programs = instance_store_programs inst in
     let reduction =
@@ -495,9 +476,8 @@ let explore_cmd =
                :: ("partitions", Obs.Sink.Int (max 1 partitions))
                :: ( "visited",
                     Obs.Sink.Str
-                      (if spill <> None then "spill"
-                       else if jobs > 1 || partitions > 1 then
-                         Format.asprintf "%a" Parallel.pp_visited visited
+                      (if jobs > 1 || partitions > 1 || spill <> None then
+                         Parallel.table_name ~paranoid:false ~spill
                        else "sequential") )
                :: stats_fields reduction stats;
            })
@@ -523,8 +503,8 @@ let explore_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ reduction_arg
-      $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
+      $ partitions_arg $ spill_arg $ reduction_arg $ independence_arg
+      $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Per-algorithm commands (sampled runs keep their own reporting; the
@@ -843,10 +823,8 @@ let analyze_cmd =
    crash-sweep at any --jobs.                                          *)
 
 let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs partitions spill visited choice independence certified json
-    metrics =
+    jobs partitions spill choice independence certified json metrics =
   setup_obs ~json ~metrics;
-  Parallel.set_default_visited visited;
   let verdicts = ref [] in
   let note name v =
     verdicts := v :: !verdicts;
@@ -902,10 +880,9 @@ let solo_limit_arg =
 
 let crash_sweep_cmd =
   let run alg k f deadline expected_states max_states solo_limit jobs
-      partitions spill visited choice independence certified json metrics =
+      partitions spill choice independence certified json metrics =
     run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs partitions spill visited choice independence certified json
-      metrics
+      jobs partitions spill choice independence certified json metrics
   in
   Cmd.v
     (Cmd.info "crash-sweep"
@@ -917,15 +894,14 @@ let crash_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
       $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ reduction_arg
-      $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
+      $ partitions_arg $ spill_arg $ reduction_arg $ independence_arg
+      $ certified_arg $ json_arg $ metrics_arg)
 
 let recover_sweep_cmd =
   let run alg k f r deadline expected_states max_states solo_limit jobs
-      partitions spill visited choice independence certified json metrics =
+      partitions spill choice independence certified json metrics =
     run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs partitions spill visited choice independence certified json
-      metrics
+      jobs partitions spill choice independence certified json metrics
   in
   let sweep_recoveries_arg =
     Arg.(
@@ -947,9 +923,8 @@ let recover_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
-      $ jobs_arg $ partitions_arg $ spill_arg $ visited_arg
-      $ reduction_arg $ independence_arg $ certified_arg $ json_arg
-      $ metrics_arg)
+      $ jobs_arg $ partitions_arg $ spill_arg $ reduction_arg
+      $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 let () =
   let doc = "sub-consensus deterministic objects: runners and model checkers" in

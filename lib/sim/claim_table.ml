@@ -6,23 +6,20 @@
    and [`Dup] to every other — claim-once, with no mutex anywhere on the
    path.
 
-   {b Slot encoding.}  Each slot is one or two [int Atomic.t] words.  A
+   {b Slot encoding.}  Each slot is two [int Atomic.t] words.  A
    stored lane keeps the low 62 bits of its fingerprint lane and forces
    the sign bit on ([encode] below), so a live word is always negative —
    distinguishable from [empty] (0) and from the [dead] tombstone (1)
    without a separate presence bit.  Dropping one bit per lane leaves an
-   effective 124-bit key in two-lane mode (collision odds ~2^-124 per
-   pair) and 62 bits in folded mode (~2^-62 per pair; the birthday bound
-   is surfaced through [Explore.stats.collision_bound]).
+   effective 124-bit key (collision odds ~2^-124 per pair; the birthday
+   bound is surfaced through [Explore.stats.collision_bound]).
 
    {b Two-lane claim protocol.}  Lane 1 is the claim word: CASing it from
    [empty] wins the slot.  Lane 2 is published immediately after; until
    then it reads [empty] and probers spin ([pending] lasts two
    instructions of the claimer).  A probe that matches lane 1 but not
    lane 2 — a genuine 62-bit lane-1 collision between distinct keys, or a
-   tombstone — continues down the probe chain.  Folded mode stores a
-   single mixed word, so one CAS both claims and publishes; there is no
-   pending state.
+   tombstone — continues down the probe chain.
 
    {b Growth without a rehash stall.}  The table is a chain of segments
    (newest first), each a fixed power-of-two array.  Nothing is ever
@@ -53,28 +50,23 @@ let dead = 1
 
 let[@inline] encode h = h lor min_int
 
-(* One well-mixed word out of both lanes, for folded mode. *)
+(* One well-mixed word out of both lanes: the partition router, batch
+   dedup and the spill table's 62-bit key. *)
 let fold_key h1 h2 =
   let x = h1 + (h2 * 0x27D4EB2F165667C5) in
   let x = (x lxor (x lsr 31)) * 0x2545F4914F6CDD1D in
   x lxor (x lsr 29)
 
-(* Foldedness is a {e per-segment} property: escalation (below) flips the
-   table's mode mid-run by prepending a two-lane head segment while the
-   folded tail keeps serving read-only probes.  Each probe picks its
-   words by the segment it is probing. *)
 type segment = {
-  folded : bool;
   mask : int;
   lane1 : int Atomic.t array;
-  lane2 : int Atomic.t array; (* [||] in folded mode *)
+  lane2 : int Atomic.t array;
   count : int Atomic.t; (* successful claims incl. tombstoned; occupancy *)
   limit : int; (* occupancy that triggers growth; margin = cap/4 slots
                   absorbs the claimers already past the check *)
 }
 
 type t = {
-  folded : bool Atomic.t; (* current mode: what new segments use *)
   segments : segment list Atomic.t; (* head = newest = claim target *)
   grow_lock : Mutex.t;
 }
@@ -85,13 +77,11 @@ type opstats = { mutable probes : int; mutable cas_retries : int }
 
 let fresh_opstats () = { probes = 0; cas_retries = 0 }
 
-let make_segment folded cap =
+let make_segment cap =
   {
-    folded;
     mask = cap - 1;
     lane1 = Array.init cap (fun _ -> Atomic.make empty);
-    lane2 =
-      (if folded then [||] else Array.init cap (fun _ -> Atomic.make empty));
+    lane2 = Array.init cap (fun _ -> Atomic.make empty);
     count = Atomic.make 0;
     limit = cap - (cap / 4);
   }
@@ -101,8 +91,7 @@ let make_segment folded cap =
    keeps a loose expectation from pre-allocating hundreds of MB. *)
 let capacity_for_expectation n = min (1 lsl 21) (max 64 (n + (n / 3)))
 
-let create ?initial_capacity ?expected_states mode =
-  let folded = match mode with `Folded -> true | `Two_lane -> false in
+let create ?initial_capacity ?expected_states `Two_lane =
   let initial_capacity =
     match (initial_capacity, expected_states) with
     | Some c, _ -> c
@@ -113,14 +102,7 @@ let create ?initial_capacity ?expected_states mode =
     let rec up c = if c >= initial_capacity then c else up (c * 2) in
     up 64
   in
-  {
-    folded = Atomic.make folded;
-    segments = Atomic.make [ make_segment folded cap ];
-    grow_lock = Mutex.create ();
-  }
-
-let bits t = if Atomic.get t.folded then 62 else 124
-let is_folded t = Atomic.get t.folded
+  { segments = Atomic.make [ make_segment cap ]; grow_lock = Mutex.create () }
 
 (* Spin until the claimer of slot [i] publishes lane 2 (two instructions
    away); returns the published word ([dead] if the claim was aborted). *)
@@ -143,10 +125,7 @@ let probe_ro st (seg : segment) w1 w2 =
       st.probes <- st.probes + 1;
       let a = Atomic.get seg.lane1.(i) in
       if a = empty then false
-      else if a = w1 then
-        if seg.folded then true
-        else if lane2_value seg i = w2 then true
-        else go ((i + 1) land seg.mask) (remaining - 1)
+      else if a = w1 && lane2_value seg i = w2 then true
       else go ((i + 1) land seg.mask) (remaining - 1)
     end
   in
@@ -163,7 +142,7 @@ let claim_in_head st (seg : segment) w1 w2 =
       if a = empty then
         if Atomic.get seg.count >= seg.limit then `Full
         else if Atomic.compare_and_set seg.lane1.(i) empty w1 then begin
-          if not seg.folded then Atomic.set seg.lane2.(i) w2;
+          Atomic.set seg.lane2.(i) w2;
           Atomic.incr seg.count;
           `Claimed i
         end
@@ -172,10 +151,7 @@ let claim_in_head st (seg : segment) w1 w2 =
           st.cas_retries <- st.cas_retries + 1;
           go i remaining
         end
-      else if a = w1 then
-        if seg.folded then `Dup
-        else if lane2_value seg i = w2 then `Dup
-        else go ((i + 1) land seg.mask) (remaining - 1)
+      else if a = w1 && lane2_value seg i = w2 then `Dup
       else go ((i + 1) land seg.mask) (remaining - 1)
     end
   in
@@ -183,61 +159,28 @@ let claim_in_head st (seg : segment) w1 w2 =
 
 (* Tombstone our own aborted claim: the slot stays occupied (probe chains
    must not shorten), but no key matches it again. *)
-let retract (seg : segment) i =
-  if seg.folded then Atomic.set seg.lane1.(i) dead
-  else Atomic.set seg.lane2.(i) dead
+let retract (seg : segment) i = Atomic.set seg.lane2.(i) dead
 
-(* Append a doubled segment, unless someone already did.  New segments
-   take the table's {e current} mode, so growth after an escalation keeps
-   producing two-lane segments. *)
+(* Append a doubled segment, unless someone already did. *)
 let grow t seen =
   Mutex.lock t.grow_lock;
   (if Atomic.get t.segments == seen then
      let cap =
        match seen with [] -> assert false | s :: _ -> 2 * (s.mask + 1)
      in
-     Atomic.set t.segments (make_segment (Atomic.get t.folded) cap :: seen));
-  Mutex.unlock t.grow_lock
-
-(* Escalate a folded table to two-lane keys mid-run: prepend a same-size
-   two-lane head segment and flip the mode for future growth.  Existing
-   folded entries stay where they are and keep answering read-only probes
-   with folded words — escalation caps the {e growth} of the collision
-   bound rather than rewriting history.  In-flight claims against the old
-   head observe the new segment list during validation and abort-retry
-   through the exact mechanism growth uses, so claim-once is untouched.
-   Idempotent; a no-op on a table that is already two-lane. *)
-let escalate t =
-  Mutex.lock t.grow_lock;
-  (if Atomic.get t.folded then begin
-     Atomic.set t.folded false;
-     let segs = Atomic.get t.segments in
-     let cap = match segs with [] -> assert false | s :: _ -> s.mask + 1 in
-     Atomic.set t.segments (make_segment false cap :: segs)
-   end);
+     Atomic.set t.segments (make_segment cap :: seen));
   Mutex.unlock t.grow_lock
 
 let claim t st ~h1 ~h2 =
-  (* Words for both modes are cheap to precompute; each segment picks by
-     its own foldedness. *)
-  let wf = encode (fold_key h1 h2) in
   let w1 = encode h1 and w2 = encode h2 in
-  let words (seg : segment) = if seg.folded then (wf, 0) else (w1, w2) in
   let rec attempt () =
     let segs = Atomic.get t.segments in
     match segs with
     | [] -> assert false
     | head :: older ->
-      if
-        List.exists
-          (fun s ->
-            let a, b = words s in
-            probe_ro st s a b)
-          older
-      then `Dup
+      if List.exists (fun s -> probe_ro st s w1 w2) older then `Dup
       else begin
-        let a, b = words head in
-        match claim_in_head st head a b with
+        match claim_in_head st head w1 w2 with
         | `Dup -> `Dup
         | `Full ->
           grow t segs;
@@ -261,26 +204,12 @@ let occupancy t =
     0
     (Atomic.get t.segments)
 
-(* Live-ish entries still guarded only by a 62-bit word — the piecewise
-   collision bound in the parallel engine charges these pairs at 2^-62
-   and the rest at 2^-124. *)
-let folded_occupancy t =
-  List.fold_left
-    (fun acc (s : segment) -> if s.folded then acc + Atomic.get s.count else acc)
-    0
-    (Atomic.get t.segments)
-
-let slots t =
-  List.fold_left (fun acc s -> acc + s.mask + 1) 0 (Atomic.get t.segments)
-
 (* Analytic footprint: each [int Atomic.t] is a one-field boxed record
    (header + field = 2 words) plus its array slot — 3 words per lane per
    slot — plus the array headers. *)
 let memory_bytes t =
   List.fold_left
-    (fun acc (s : segment) ->
-      let words_per_slot = if s.folded then 3 else 6 in
-      acc + (((s.mask + 1) * words_per_slot) + 8))
+    (fun acc s -> acc + (((s.mask + 1) * 6) + 8))
     0
     (Atomic.get t.segments)
   * 8

@@ -127,8 +127,9 @@ type stats = {
       (** birthday bound on the probability that {e any} fingerprint
           collision merged two distinct states this search
           (n(n-1)/2 · 2^-bits for the visited-table width in use:
-          126 sequential, 124 lock-free, 62 compressed; exactly 0.0
-          under [~paranoid]) *)
+          126 sequential, 124 for the parallel claim table, 62 for the
+          spill table, summed over partitions; exactly 0.0 under
+          [~paranoid]) *)
   limited : bool;
       (** true iff the search was truncated — it is then {e not} a proof;
           [limit_reason] says why *)
@@ -149,7 +150,7 @@ val collision_bound : bits:int -> states:int -> float
 
 val fingerprint_bits : int
 (** Effective key width of the full two-lane fingerprint comparison
-    (126): the sequential visited table and the parallel sharded mode. *)
+    (126): the sequential visited table. *)
 
 (** How the source-set reduction judges same-object commutation.
 

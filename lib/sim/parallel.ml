@@ -7,7 +7,7 @@
    partitions (default 1), chosen by a pure hash of its claim key (the
    fingerprint of the canonical (state, sleep) pair; with reductions off
    this is literally the state's fingerprint lane).  Each partition owns
-   a private visited table ({!visited}) plus [jobs / partitions] worker
+   a private visited table ([vtable]) plus [jobs / partitions] worker
    domains with per-worker Chase–Lev deques ({!Ws_deque}).  A worker
    runs depth-first search over its own deque (LIFO bottom) and, when it
    empties, steals from a random sibling's top (lock-free CAS); stealing
@@ -16,10 +16,12 @@
    to its producer's own partition, so the batch code stays idle.
 
    A node is {e claimed} exactly once, by whichever worker's claim lands
-   first in its owner's visited table (the representations are listed
-   in the interface; [~paranoid] exact keys force the sharded one); only
-   the claimer expands it, so every node is expanded at most once and
-   the explored graph is exactly the sequential one.
+   first in its owner's visited table; only the claimer expands it, so
+   every node is expanded at most once and the explored graph is exactly
+   the sequential one.  The table is a function of the key kind: exact
+   [~paranoid] keys go to mutex-sharded hashtables (the only table that
+   holds them), [?spill] maps a {!Spill_table}, and every other search
+   claims in the two-lane lock-free {!Claim_table}.
 
    {b Producer-side keys.}  The producer of a successor computes its
    claim key (it holds the materialized successor configuration anyway,
@@ -78,21 +80,6 @@ module Obs = Subc_obs
 
 exception Stop
 
-type visited = Sharded | Lockfree | Compressed
-
-let pp_visited ppf v =
-  Format.pp_print_string ppf
-    (match v with
-    | Sharded -> "sharded"
-    | Lockfree -> "lockfree"
-    | Compressed -> "compressed")
-
-(* Process-wide default, settable once by the CLI's [--visited] flag so
-   every checker entry point inherits it without plumbing. *)
-let default_visited_mode = Atomic.make Lockfree
-let set_default_visited v = Atomic.set default_visited_mode v
-let default_visited () = Atomic.get default_visited_mode
-
 (* Auto-sequential fallback: on sub-10^4-state spaces the domain spawn +
    steal traffic costs more than the whole search (E21 measures jobs=2 at
    2-8x slower than jobs=1 on such families), so the seeding pass keeps
@@ -104,8 +91,8 @@ let default_seq_threshold = 4096
 
 type stop_cause = Budget | Deadline | Callback of exn
 
-(* Mutex shards per partition for the [Sharded] table: 128 in total,
-   at least 32 per partition. *)
+(* Mutex shards per partition for the exact-key table: 128 in total, at
+   least 32 per partition. *)
 let shards_per_part n_parts = max 32 (128 / n_parts)
 
 type shard = { lock : Mutex.t; tbl : unit Fingerprint.Ktbl.t }
@@ -114,6 +101,12 @@ type vtable =
   | Shards of shard array
   | Claims of Claim_table.t
   | Spill of Spill_table.t
+
+(* Which [vtable] a search builds is a function of its keys: exact
+   [~paranoid] keys need the hashtable (it wins over [?spill]), [?spill]
+   maps files, every other search claims in the lock-free table. *)
+let table_name ~paranoid ~spill =
+  if paranoid then "sharded" else if spill <> None then "spill" else "lockfree"
 
 (* A work item carries everything its owner needs to claim and expand it
    without re-deriving anything: the configuration, delta-encoded
@@ -205,7 +198,6 @@ type global = {
   n_parts : int;
   batch_size : int;
   spill : string option;
-  visited : visited;
   stop : stop_cause option Atomic.t;
   finished : bool Atomic.t;
   in_flight : int Atomic.t; (* the credit counter; see the header *)
@@ -215,8 +207,6 @@ type global = {
   max_crashes : int;
   max_recoveries : int;
   deadline_at : float;
-  escalate_threshold : float;
-  escalated : bool Atomic.t;
   reduction : Explore.reduction;
   paranoid : bool;
   frontier_peak : int Atomic.t;
@@ -304,37 +294,8 @@ let claim ctx item =
     Mutex.unlock sh.lock;
     r
   | (Claims _ | Spill _), Fingerprint.Exact _ ->
-    (* Exact keys only arise under [~paranoid], which forces [Shards]. *)
+    (* Exact keys only arise under [~paranoid], which builds [Shards]. *)
     assert false
-
-let m_escalated = Obs.Metrics.counter "parallel.visited_escalated"
-
-(* Auto-escalation, per owner table: every 256 fresh states per worker,
-   if the claim table is still folded and the 62-bit birthday bound over
-   the global state count (conservative — each table holds a subset) has
-   crossed the threshold, flip it to two-lane.  [escalate] is idempotent
-   and racing workers are harmless; the note and the metric fire once
-   via the [escalated] CAS. *)
-let maybe_escalate ctx owner =
-  let g = ctx.g in
-  if g.escalate_threshold > 0.0 && ctx.stats.states land 255 = 0 then
-    match g.parts.(owner).table with
-    | Claims t when Claim_table.is_folded t ->
-      let n = Atomic.get g.n_states in
-      let bound = Explore.collision_bound ~bits:62 ~states:n in
-      if bound > g.escalate_threshold then begin
-        Claim_table.escalate t;
-        if Atomic.compare_and_set g.escalated false true then begin
-          Obs.Metrics.incr m_escalated;
-          Printf.eprintf
-            "subconsensus: compressed visited table (partition %d) \
-             escalated to lockfree at %d states (collision bound %.2g > \
-             %.2g)\n\
-             %!"
-            owner n bound g.escalate_threshold
-        end
-      end
-    | Claims _ | Shards _ | Spill _ -> ()
 
 (* Flush one destination buffer into its partition's inbox. *)
 let flush ctx dest =
@@ -424,7 +385,6 @@ let process ctx item =
          die as carried keys, never as configurations. *)
       let config = Config.Delta.materialize item.delta in
       ctx.stats.states <- ctx.stats.states + 1;
-      maybe_escalate ctx item.owner;
       (* Paranoid cross-validation of the carried incremental
          fingerprint against a full homomorphic re-fold (mirrors the
          sequential DFS; any mismatch fails the run after the join). *)
@@ -591,48 +551,31 @@ let rec worker ctx =
           worker ctx
       end
 
-(* Collision bound for one claim table, piecewise after an escalation:
-   a state is missed when its words match an earlier entry, so pairs
-   whose earlier member sits in a folded segment collide at 2^-62 and
-   purely two-lane pairs at 2^-124.  With no escalation this reduces to
-   the plain single-width birthday bound.  Summed over partitions: keys
-   never compare across tables, so the per-table pair bounds
-   union-bound the whole run. *)
-let claims_bound t ~states =
-  let nf = min (Claim_table.folded_occupancy t) states in
-  let nt = states - nf in
-  let fnf = float_of_int nf and fnt = float_of_int nt in
-  min 1.0
-    ((((fnf *. (fnf -. 1.0) /. 2.0) +. (fnf *. fnt)) *. ldexp 1.0 (-62))
-    +. (fnt *. (fnt -. 1.0) /. 2.0 *. ldexp 1.0 (-124)))
-
+(* Birthday bound per table at its key width, summed over partitions:
+   keys never compare across tables, so the per-table pair bounds
+   union-bound the whole run.  The sharded tables hold exact (paranoid)
+   keys, which cannot collide.  A claim table's occupancy also counts
+   aborted claims, hence the cap at the run's state count. *)
 let collision_bound g ~states =
-  if g.paranoid then 0.0
-  else
-    min 1.0
-      (Array.fold_left
-         (fun acc p ->
-           acc
-           +.
-           match p.table with
-           | Shards _ ->
-             (* Conservative: charge the whole run at the fingerprint
-                width (pairs across partitions never actually meet). *)
-             Explore.collision_bound ~bits:Explore.fingerprint_bits ~states
-             /. float_of_int g.n_parts
-           | Claims t ->
-             claims_bound t ~states:(min states (Claim_table.occupancy t))
-           | Spill s ->
-             Explore.collision_bound ~bits:62
-               ~states:(Spill_table.occupancy s))
-         0.0 g.parts)
+  min 1.0
+    (Array.fold_left
+       (fun acc p ->
+         acc
+         +.
+         match p.table with
+         | Shards _ -> 0.0
+         | Claims t ->
+           Explore.collision_bound ~bits:124
+             ~states:(min states (Claim_table.occupancy t))
+         | Spill s ->
+           Explore.collision_bound ~bits:62 ~states:(Spill_table.occupancy s))
+       0.0 g.parts)
 
 (* Approximate footprint of the visited sets, for the bench's
    memory-per-state comparison: analytic for the claim and spill tables
-   (a spill table's heap bookkeeping only), a bucket+cons+key estimate
-   for the sharded hashtables ([Fp] keys are a 3-word record; [Exact]
-   keys under paranoid hold whole key trees, not counted — paranoid is a
-   debug mode). *)
+   (a spill table's heap bookkeeping only), a bucket+cons estimate for
+   the sharded hashtables (their exact paranoid keys hold whole key
+   trees, not counted — paranoid is a debug mode). *)
 let visited_bytes g =
   Array.fold_left
     (fun acc p ->
@@ -751,9 +694,7 @@ let emit_obs label g stats ~workers ~all dt =
          ("jobs", Obs.Sink.Int (Array.length workers));
          ("partitions", Obs.Sink.Int g.n_parts);
          ( "visited",
-           Obs.Sink.Str
-             (if spilling then "spill"
-              else Format.asprintf "%a" pp_visited g.visited) );
+           Obs.Sink.Str (table_name ~paranoid:g.paranoid ~spill:g.spill) );
          ("states", Obs.Sink.Int stats.Explore.states);
          ("transitions", Obs.Sink.Int stats.Explore.transitions);
          ("terminals", Obs.Sink.Int stats.Explore.terminals);
@@ -791,20 +732,14 @@ let fresh_buffers n =
   Array.init n (fun _ ->
       { items = []; count = 0; words = 0; keys = Hashtbl.create 64 })
 
-let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
+let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
     ?(max_crashes = 0) ?(max_recoveries = 0) ?deadline ?expected_states
-    ?(escalate_threshold = 1e-6) ?(reduction = Explore.no_reduction)
-    ?(paranoid = false) ?seed_target ?seq_threshold ?(batch_size = 64)
-    ?spill ?(partitions = 1) ~jobs ~on_terminal ~on_visit label config =
+    ?(reduction = Explore.no_reduction) ?(paranoid = false) ?seed_target
+    ?seq_threshold ?(batch_size = 64) ?spill ?(partitions = 1) ~jobs
+    ~on_terminal ~on_visit label config =
   let n_parts = max 1 partitions in
   let jobs_per_part = max 1 (max 1 jobs / n_parts) in
   let n_workers = n_parts * jobs_per_part in
-  let visited =
-    match visited with Some v -> v | None -> default_visited ()
-  in
-  (* Exact canonical keys under [~paranoid] only fit the hashtable
-     representation — it wins over both the visited mode and [?spill]. *)
-  let visited = if paranoid then Sharded else visited in
   (* A homomorphic fingerprint is carried only with symmetry off
      (canonical keys go through the orbit minimization); under
      [~paranoid] it is carried for cross-validation while the claim keys
@@ -835,27 +770,28 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
       (Array.init (shards_per_part n_parts) (fun _ ->
            { lock = Mutex.create (); tbl = Fingerprint.Ktbl.create slots }))
   in
+  (* The same precedence as [table_name]. *)
   let make_table pid =
-    match (visited, spill) with
-    | Sharded, _ when paranoid -> shards ()
-    | _, Some dir ->
-      Spill
-        (Spill_table.create
-           ?expected_states:
-             (Option.map (fun n -> max 64 (n / n_parts)) expected_states)
-           ~dir ~part:pid ())
-    | Sharded, None -> shards ()
-    | (Lockfree | Compressed), None ->
-      let mode = if visited = Compressed then `Folded else `Two_lane in
-      Claims
-        (match expected_states with
-        | Some n ->
-          Claim_table.create ~expected_states:(max 64 (n / n_parts)) mode
-        | None ->
-          Claim_table.create
-            ~initial_capacity:
-              (if threshold > 0 then 256 else max 256 (8192 / n_parts))
-            mode)
+    if paranoid then shards ()
+    else
+      match spill with
+      | Some dir ->
+        Spill
+          (Spill_table.create
+             ?expected_states:
+               (Option.map (fun n -> max 64 (n / n_parts)) expected_states)
+             ~dir ~part:pid ())
+      | None ->
+        Claims
+          (match expected_states with
+          | Some n ->
+            Claim_table.create ~expected_states:(max 64 (n / n_parts))
+              `Two_lane
+          | None ->
+            Claim_table.create
+              ~initial_capacity:
+                (if threshold > 0 then 256 else max 256 (8192 / n_parts))
+              `Two_lane)
   in
   let g =
     {
@@ -870,7 +806,6 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
       n_parts;
       batch_size = max 1 batch_size;
       spill;
-      visited;
       stop = Atomic.make None;
       finished = Atomic.make false;
       in_flight = Atomic.make 1 (* the root *);
@@ -883,8 +818,6 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
         (match deadline with
         | None -> infinity
         | Some secs -> Unix.gettimeofday () +. secs);
-      escalate_threshold;
-      escalated = Atomic.make false;
       reduction;
       paranoid;
       frontier_peak = Atomic.make 0;
@@ -1030,35 +963,32 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
          mismatches);
   stats
 
-let iter_terminals ?visited ?max_states ?max_depth ?max_crashes
-    ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
-    ~jobs config ~f =
-  run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?escalate_threshold ?reduction ?paranoid ?seed_target
-    ?seq_threshold ?batch_size ?spill ?partitions ~jobs ~on_terminal:f
+let iter_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
+    ?deadline ?expected_states ?reduction ?paranoid ?seed_target
+    ?seq_threshold ?batch_size ?spill ?partitions ~jobs config ~f =
+  run ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
+    ?expected_states ?reduction ?paranoid ?seed_target ?seq_threshold
+    ?batch_size ?spill ?partitions ~jobs ~on_terminal:f
     ~on_visit:(fun _ _ -> ())
     "iter_terminals" config
 
-let iter_reachable ?visited ?max_states ?max_depth ?max_crashes
-    ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?seed_target ?seq_threshold ?batch_size ?spill ?partitions
-    ~jobs config ~f =
+let iter_reachable ?max_states ?max_depth ?max_crashes ?max_recoveries
+    ?deadline ?expected_states ?reduction ?paranoid ?seed_target
+    ?seq_threshold ?batch_size ?spill ?partitions ~jobs config ~f =
   (* Source sets are stripped exactly as in {!Explore.iter_reachable}:
      reachability consumers quantify over every configuration. *)
   let reduction =
     Option.map (fun r -> { r with Explore.source_sets = false }) reduction
   in
-  run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?escalate_threshold ?reduction ?paranoid ?seed_target
-    ?seq_threshold ?batch_size ?spill ?partitions ~jobs
+  run ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
+    ?expected_states ?reduction ?paranoid ?seed_target ?seq_threshold
+    ?batch_size ?spill ?partitions ~jobs
     ~on_terminal:(fun _ _ -> ())
     ~on_visit:f "iter_reachable" config
 
-let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid
-    ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs config
-    ~violates =
+let find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
+    ?deadline ?expected_states ?reduction ?paranoid ?seed_target
+    ?seq_threshold ?batch_size ?spill ?partitions ~jobs config ~violates =
   let found = ref None in
   (* [on_terminal] runs under the callback lock, so the first writer
      wins and the witness is stable once set. *)
@@ -1069,10 +999,9 @@ let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
     end
   in
   let stats =
-    run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?escalate_threshold ?reduction ?paranoid
-      ?seed_target ?seq_threshold ?batch_size ?spill ?partitions ~jobs
-      ~on_terminal
+    run ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
+      ?expected_states ?reduction ?paranoid ?seed_target ?seq_threshold
+      ?batch_size ?spill ?partitions ~jobs ~on_terminal
       ~on_visit:(fun _ _ -> ())
       "find_terminal" config
   in

@@ -15,31 +15,27 @@
     partitions only as batches.  At one partition every successor stays
     with its producer and the batch path is idle.
 
-    {b Visited tables.}  Deduplication is claim-once through one of
-    three representations per partition ({!visited}):
+    {b Visited tables: one per key kind.}  Deduplication is claim-once
+    through a per-partition table picked by the keys the search claims
+    ({!table_name}):
 
-    - [Lockfree] (default): an open-addressed claim table of [Atomic]
-      slot words storing both fingerprint lanes (effective 124 bits) —
-      CAS claim, linear probing, segment-chained growth with no rehash
-      stall ({!Claim_table}).
-    - [Compressed]: the claim table in folded mode — a single mixed
-      62-bit word per state, about half the memory; the birthday
-      collision bound is surfaced in [stats.collision_bound].
-    - [Sharded]: mutex-sharded hashtables, kept as the measured baseline
-      and as the exact-key representation: [~paranoid] runs always use
-      it (full canonical keys, collisions impossible).
+    - fingerprint keys (the default): an open-addressed claim table of
+      [Atomic] slot words storing both fingerprint lanes (effective 124
+      bits) — CAS claim, linear probing, segment-chained growth with no
+      rehash stall ({!Claim_table});
+    - exact keys ([~paranoid]): mutex-sharded hashtables, the only table
+      that can hold full canonical keys (collisions impossible);
+    - [?spill]: a directory under which each partition maps its visited
+      set as a file of 62-bit compressed claim words ({!Spill_table}) —
+      heap residency drops to bookkeeping ([parallel.visited_bytes]
+      gauge) while the mapped bytes ([parallel.spill_bytes]) are
+      file-backed and evictable.  The birthday collision bound over the
+      62-bit words is surfaced in [stats.collision_bound].  [~paranoid]
+      overrides [?spill] (exact keys cannot be compressed).
 
     A search node is claimed exactly once whichever table is active, so
     every node is expanded at most once and the explored graph is exactly
     the sequential one.
-
-    {b Out-of-core mode.}  [?spill] gives a directory under which each
-    partition maps its visited set as a file of 62-bit compressed claim
-    words ({!Spill_table}) — heap residency drops to bookkeeping
-    ([parallel.visited_bytes] gauge) while the mapped bytes
-    ([parallel.spill_bytes]) are file-backed and evictable.  Collision
-    characteristics match [Compressed].  [~paranoid] overrides [?spill]
-    (exact keys cannot be compressed).
 
     {b Batched exchange.}  A successor owned by another partition is
     accumulated into a per-worker, per-destination buffer of
@@ -55,15 +51,6 @@
     work item (deques, buffers, inboxes, the seed queue), incremented
     before an item becomes reachable and decremented only after its
     expansion completes.  Reading [0] proves exhaustion.
-
-    {b Escalation.}  Under [Compressed], once the 62-bit birthday bound
-    over the global state count crosses [?escalate_threshold] (default
-    [1e-6]; [<= 0.] disables) a claim table escalates in place to
-    two-lane keys: a two-lane head segment is prepended, the folded tail
-    keeps serving probes, and [stats.collision_bound] switches to the
-    piecewise accounting (folded-era pairs at 2^-62, the rest at
-    2^-124).  A one-line note goes to stderr and the
-    [parallel.visited_escalated] metrics counter is bumped.
 
     {b Fault budgets.}  [?max_crashes] and [?max_recoveries] mirror the
     sequential explorer exactly — budget exactness holds at any [jobs]
@@ -83,8 +70,8 @@
     algorithm in this repository) the merged [states], [transitions],
     [terminals], [hung_terminals], [crashed_terminals],
     [recovered_terminals], [dedup_hits] and [source_skips] equal the
-    sequential explorer's — at any [jobs] x [partitions], under any
-    visited mode or [?spill]: the partition tables partition the
+    sequential explorer's — at any [jobs] x [partitions], with or
+    without [?spill] or [~paranoid]: the partition tables partition the
     claim-key space by a pure function of the key, claim-once yields
     the same claimed-node set however the race for claims resolves, and
     each claimed node contributes an expansion that is a pure function
@@ -123,17 +110,11 @@
 (** Raise from a callback to stop the search gracefully. *)
 exception Stop
 
-(** Which visited-table representation deduplicates states. *)
-type visited = Sharded | Lockfree | Compressed
-
-val pp_visited : Format.formatter -> visited -> unit
-
-val set_default_visited : visited -> unit
-(** Process-wide default for every entry point whose [?visited] is
-    omitted (initially [Lockfree]).  The CLI's [--visited] flag sets it
-    once at startup so the checkers inherit it without plumbing. *)
-
-val default_visited : unit -> visited
+val table_name : paranoid:bool -> spill:string option -> string
+(** The visited table a search with these arguments builds:
+    ["sharded"] under [~paranoid] (it wins over [?spill]), ["spill"]
+    with [?spill], ["lockfree"] otherwise.  The ["visited"] field of the
+    ["parallel"] event and of the CLI's explore JSON. *)
 
 val default_seq_threshold : int
 (** The auto-sequential fallback threshold, [4096]: the seeding pass
@@ -152,14 +133,12 @@ val default_seq_threshold : int
     population times the mean retained words per item. *)
 
 val iter_terminals :
-  ?visited:visited ->
   ?max_states:int ->
   ?max_depth:int ->
   ?max_crashes:int ->
   ?max_recoveries:int ->
   ?deadline:float ->
   ?expected_states:int ->
-  ?escalate_threshold:float ->
   ?reduction:Explore.reduction ->
   ?paranoid:bool ->
   ?seed_target:int ->
@@ -179,14 +158,12 @@ val iter_terminals :
     [1]); tests force it to [1] to maximize steal pressure. *)
 
 val iter_reachable :
-  ?visited:visited ->
   ?max_states:int ->
   ?max_depth:int ->
   ?max_crashes:int ->
   ?max_recoveries:int ->
   ?deadline:float ->
   ?expected_states:int ->
-  ?escalate_threshold:float ->
   ?reduction:Explore.reduction ->
   ?paranoid:bool ->
   ?seed_target:int ->
@@ -204,14 +181,12 @@ val iter_reachable :
     want every state, not a reduced cover. *)
 
 val find_terminal :
-  ?visited:visited ->
   ?max_states:int ->
   ?max_depth:int ->
   ?max_crashes:int ->
   ?max_recoveries:int ->
   ?deadline:float ->
   ?expected_states:int ->
-  ?escalate_threshold:float ->
   ?reduction:Explore.reduction ->
   ?paranoid:bool ->
   ?seed_target:int ->

@@ -14,7 +14,6 @@ type options = {
   reduction : Explore.reduction;
   paranoid : bool;
   jobs : int;
-  visited : Parallel.visited option;
   partitions : int;
   spill : string option;
   seq_threshold : int option;
@@ -31,7 +30,6 @@ let default =
     reduction = Explore.no_reduction;
     paranoid = false;
     jobs = 1;
-    visited = None;
     partitions = 1;
     spill = None;
     seq_threshold = None;
@@ -50,22 +48,18 @@ let with_independence i o =
 
 let with_paranoid b o = { o with paranoid = b }
 let with_jobs n o = { o with jobs = max 1 n }
-let with_visited v o = { o with visited = Some v }
 let with_partitions n o = { o with partitions = max 1 n }
 let with_spill dir o = { o with spill = Some dir }
 let with_seq_threshold n o = { o with seq_threshold = Some (max 0 n) }
 
 let pp ppf o =
   Format.fprintf ppf
-    "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s%s jobs=%d%s%s \
+    "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s jobs=%d%s%s \
      paranoid=%b %a"
     o.max_states o.max_depth o.max_crashes o.max_recoveries
     (match o.deadline with
     | None -> ""
     | Some s -> Printf.sprintf " deadline=%.3gs" s)
-    (match o.visited with
-    | None -> ""
-    | Some v -> Format.asprintf " visited=%a" Parallel.pp_visited v)
     o.jobs
     (if o.partitions > 1 then Printf.sprintf " partitions=%d" o.partitions
      else "")
@@ -88,7 +82,7 @@ let iter_terminals ?(options = default) config ~f =
       ?deadline:o.deadline ?expected_states:o.expected_states
       ~reduction:o.reduction ~paranoid:o.paranoid config ~f
   else
-    Parallel.iter_terminals ?visited:o.visited ~max_states:o.max_states
+    Parallel.iter_terminals ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
@@ -103,7 +97,7 @@ let iter_reachable ?(options = default) config ~f =
       ?deadline:o.deadline ?expected_states:o.expected_states
       ~reduction:o.reduction ~paranoid:o.paranoid config ~f
   else
-    Parallel.iter_reachable ?visited:o.visited ~max_states:o.max_states
+    Parallel.iter_reachable ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
@@ -118,7 +112,7 @@ let find_terminal ?(options = default) config ~violates =
       ?deadline:o.deadline ?expected_states:o.expected_states
       ~reduction:o.reduction ~paranoid:o.paranoid config ~violates
   else
-    Parallel.find_terminal ?visited:o.visited ~max_states:o.max_states
+    Parallel.find_terminal ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction

@@ -3,7 +3,7 @@
     Every explorer and checker entry point used to take the same sprawl
     of optional arguments ([?max_states ?max_depth ?max_crashes
     ?max_recoveries ?deadline ?expected_states ?reduction ?paranoid
-    ?jobs ?visited]).  {!options} packs them into one record with
+    ?jobs]).  {!options} packs them into one record with
     pipe-friendly [with_*] builders:
 
     {[
@@ -34,9 +34,6 @@ type options = {
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
   paranoid : bool;  (** exact canonical keys, no fingerprints *)
   jobs : int;  (** worker domains; [<= 1] means sequential *)
-  visited : Parallel.visited option;
-      (** parallel visited-table representation; [None] defers to
-          {!Parallel.default_visited} *)
   partitions : int;
       (** state-ownership partitions of the {!Parallel} engine, each with
           its own visited table, exchanging frontier items in batches;
@@ -73,8 +70,6 @@ val with_paranoid : bool -> options -> options
 
 val with_jobs : int -> options -> options
 (** Clamped to at least [1]. *)
-
-val with_visited : Parallel.visited -> options -> options
 
 val with_partitions : int -> options -> options
 (** Clamped to at least [1]; [> 1] dispatches to {!Parallel}. *)
@@ -122,4 +117,4 @@ val find_cycle :
   ?options:options -> Config.t -> Trace.t option * Explore.stats
 (** Always sequential — cycle detection needs the DFS stack discipline —
     but honors every other field of [options] (the parallel knobs [jobs],
-    [visited], [partitions], [spill] and [seq_threshold] are ignored). *)
+    [partitions], [spill] and [seq_threshold] are ignored). *)

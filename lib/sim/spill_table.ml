@@ -13,13 +13,12 @@
    the heap-resident bookkeeping (the RSS floor) and [spill_bytes] the
    mapped bytes.
 
-   The slot encoding is exactly the folded mode of {!Claim_table}: a live
-   slot holds [Claim_table.encode (Claim_table.fold_key h1 h2)] (always
-   negative), an empty slot holds 0 — a fresh mapping is all zeros
-   because [Unix.map_file] extends the file with holes.  Collisions
-   between distinct fingerprints therefore happen at the same ~2^-62 per
-   pair as a folded claim table, and the caller surfaces the same
-   birthday bound through [stats.collision_bound].
+   A live slot holds [Claim_table.encode (Claim_table.fold_key h1 h2)]
+   (always negative), an empty slot holds 0 — a fresh mapping is all
+   zeros because [Unix.map_file] extends the file with holes.  Collisions
+   between distinct fingerprints therefore happen at ~2^-62 per pair,
+   and the caller surfaces the birthday bound through
+   [stats.collision_bound].
 
    Growth reuses the claim table's segment-chaining idea without the
    lock-free subtlety: when the head segment crosses 3/4 occupancy a
@@ -99,43 +98,41 @@ let probe (seg : segment) st w =
   in
   go (w land seg.mask) cap
 
+(* [Mutex.protect]: a segment that fails to map (the spill directory
+   vanished, the disk filled) raises out of the claim, and the partition's
+   sibling workers must see that error, not block forever on a lock the
+   raiser still holds. *)
 let claim_word t st w =
-  Mutex.lock t.lock;
-  let r =
-    let rec attempt () =
-      match t.segments with
-      | [] -> assert false
-      | head :: older ->
-        if
-          List.exists
-            (fun seg -> match probe seg st w with `Found -> true | _ -> false)
-            older
-        then `Dup
-        else begin
-          match probe head st w with
-          | `Found -> `Dup
-          | `Empty i when head.count < head.limit ->
-            Bigarray.Array1.unsafe_set head.arr i w;
-            head.count <- head.count + 1;
-            `Fresh
-          | `Empty _ | `Full ->
-            t.segments <- map_segment t (2 * (head.mask + 1)) :: t.segments;
-            attempt ()
-        end
-    in
-    attempt ()
+  Mutex.protect t.lock @@ fun () ->
+  let rec attempt () =
+    match t.segments with
+    | [] -> assert false
+    | head :: older ->
+      if
+        List.exists
+          (fun seg -> match probe seg st w with `Found -> true | _ -> false)
+          older
+      then `Dup
+      else begin
+        match probe head st w with
+        | `Found -> `Dup
+        | `Empty i when head.count < head.limit ->
+          Bigarray.Array1.unsafe_set head.arr i w;
+          head.count <- head.count + 1;
+          `Fresh
+        | `Empty _ | `Full ->
+          t.segments <- map_segment t (2 * (head.mask + 1)) :: t.segments;
+          attempt ()
+      end
   in
-  Mutex.unlock t.lock;
-  r
+  attempt ()
 
 let claim t st ~h1 ~h2 =
   claim_word t st (Claim_table.encode (Claim_table.fold_key h1 h2))
 
 let occupancy t =
-  Mutex.lock t.lock;
-  let n = List.fold_left (fun acc s -> acc + s.count) 0 t.segments in
-  Mutex.unlock t.lock;
-  n
+  Mutex.protect t.lock @@ fun () ->
+  List.fold_left (fun acc s -> acc + s.count) 0 t.segments
 
 let segments t = List.length t.segments
 

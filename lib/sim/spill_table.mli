@@ -4,11 +4,11 @@
     The spill mode of the parallel explorer ({!Parallel}): each
     partition can keep its claim-once visited set in file-backed mapped
     memory instead of the OCaml heap, bounding exploration by disk
-    rather than RAM.  Keys are compressed to exactly the folded claim
-    table's 62-bit word ([Claim_table.encode (Claim_table.fold_key h1
-    h2)]), so the collision characteristics — ~2^-62 per pair, surfaced
-    through the caller's [collision_bound] — match [--visited
-    compressed].
+    rather than RAM.  Keys are compressed to one 62-bit word
+    ([Claim_table.encode (Claim_table.fold_key h1 h2)], the same fold
+    the partition router uses), so distinct fingerprints collide at
+    ~2^-62 per pair; the caller surfaces the birthday bound through its
+    [collision_bound].
 
     Segment files are created under the spill directory and unlinked
     immediately after mapping, so the directory stays clean even if the
@@ -41,8 +41,10 @@ val create :
 val claim : t -> Claim_table.opstats -> h1:int -> h2:int -> [ `Fresh | `Dup ]
 (** Claim-once on the folded word of [(h1, h2)]: [`Fresh] for the first
     caller, [`Dup] for every other — including distinct fingerprints
-    whose 62-bit folds collide, which is the mode's documented ~2^-62
-    per-pair miss risk.  Probe counts accumulate into the caller's
+    whose 62-bit folds collide, which is the table's documented ~2^-62
+    per-pair miss risk.  Raises [Unix.Unix_error] when a new segment
+    cannot be mapped; the table stays usable (its lock is released) and
+    later claims that need the segment raise again.  Probe counts accumulate into the caller's
     {!Claim_table.opstats}. *)
 
 val claim_word : t -> Claim_table.opstats -> int -> [ `Fresh | `Dup ]

@@ -70,9 +70,7 @@ let json_tests =
   ]
 
 (* A partitioned run reports the claim-table probes and source skips
-   under the one [parallel.*] namespace, like a single-partition run.
-   The visited mode is pinned: probes are a claim-table count, and CI
-   re-runs the suite with the sharded tables as the default. *)
+   under the one [parallel.*] namespace, like a single-partition run. *)
 let partitioned_metrics () =
   let open Subc_sim in
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
@@ -83,8 +81,7 @@ let partitioned_metrics () =
   let options =
     Search.(
       default |> with_max_crashes 1 |> with_partitions 2 |> with_jobs 2
-      |> with_reduction Explore.source_only
-      |> with_visited Parallel.Lockfree)
+      |> with_reduction Explore.source_only)
   in
   let value name = Metrics.value (Metrics.counter name) in
   let probes0 = value "parallel.probes"

@@ -25,18 +25,6 @@ let jobs =
   | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
   | None -> 4
 
-(* CI runs the whole suite once per visited-table mode: SUBC_TEST_VISITED
-   sets the process default, so every parallel call above that does not
-   pin [?visited] exercises the requested representation. *)
-let () =
-  match Sys.getenv_opt "SUBC_TEST_VISITED" with
-  | Some "sharded" -> Parallel.set_default_visited Parallel.Sharded
-  | Some "lockfree" -> Parallel.set_default_visited Parallel.Lockfree
-  | Some "compressed" -> Parallel.set_default_visited Parallel.Compressed
-  | Some other ->
-    invalid_arg (Printf.sprintf "SUBC_TEST_VISITED: unknown mode %S" other)
-  | None -> ()
-
 (* ---------------------------------------------------------------- *)
 (* Harnesses (shared shapes with test_reduction).                    *)
 
@@ -183,10 +171,11 @@ let budget_truncation () =
   Alcotest.(check int) "exactly budget states" budget par.Explore.states;
   Alcotest.(check bool) "limited" true par.Explore.limited
 
-(* Every visited-table representation reproduces the sequential counts
-   on every registry family, and the compressed (62-bit folded) mode
-   agrees state-for-state with the exact-key paranoid search — a folded
-   collision would show up as a missing state here. *)
+(* Both visited tables reproduce the sequential counts on every
+   registry family: the default lock-free claim table (fingerprint keys,
+   a positive but tiny collision bound) and the mutex-sharded table that
+   [~paranoid] exact keys build (collisions impossible, bound 0).  A
+   fingerprint collision would show up as a missing state here. *)
 let visited_modes_matrix () =
   let harnesses =
     [
@@ -202,44 +191,28 @@ let visited_modes_matrix () =
       let config = Config.make store programs in
       List.iter
         (fun (rlabel, reduction) ->
+          let label = Printf.sprintf "%s f=%d %s" name f rlabel in
           let seq =
             Explore.iter_terminals ~max_crashes:f ?reduction config
               ~f:(fun _ _ -> ())
           in
-          List.iter
-            (fun visited ->
-              let label =
-                Format.asprintf "%s f=%d %s %a" name f rlabel
-                  Parallel.pp_visited visited
-              in
-              let par =
-                Parallel.iter_terminals ~visited ~max_crashes:f ?reduction
-                  ~jobs config
-                  ~f:(fun _ _ -> ())
-              in
-              same_counts label seq par;
-              Alcotest.(check bool)
-                (label ^ " collision bound present") true
-                (par.Explore.collision_bound > 0.0
-                && par.Explore.collision_bound < 1e-6))
-            [ Parallel.Sharded; Parallel.Lockfree; Parallel.Compressed ];
-          (* Compressed vs exact keys: paranoid forces the sharded table
-             with full canonical keys — collisions impossible. *)
-          let compressed =
-            Parallel.iter_terminals ~visited:Parallel.Compressed
-              ~max_crashes:f ?reduction ~jobs config
+          let par =
+            Parallel.iter_terminals ~max_crashes:f ?reduction ~jobs config
               ~f:(fun _ _ -> ())
           in
+          same_counts (label ^ " lockfree") seq par;
+          Alcotest.(check bool)
+            (label ^ " collision bound present") true
+            (par.Explore.collision_bound > 0.0
+            && par.Explore.collision_bound < 1e-6);
           let exact =
             Parallel.iter_terminals ~paranoid:true ~max_crashes:f ?reduction
               ~jobs config
               ~f:(fun _ _ -> ())
           in
-          same_counts
-            (Printf.sprintf "%s f=%d %s compressed-vs-exact" name f rlabel)
-            exact compressed;
+          same_counts (label ^ " exact") seq exact;
           Alcotest.(check (float 0.0))
-            (name ^ " paranoid collision bound") 0.0
+            (label ^ " paranoid collision bound") 0.0
             exact.Explore.collision_bound)
         [ ("none", None); ("sym", Some (Explore.with_symmetry sym)) ])
     harnesses
@@ -634,54 +607,46 @@ let deque_stress () =
    linear probe chains are long and growth happens many times mid-race).
    Exactly one domain must win [`Fresh] for each key. *)
 let claim_table_claim_once () =
-  List.iter
-    (fun (mode_label, mode) ->
-      let t = Claim_table.create ~initial_capacity:64 mode in
-      let n_keys = 4096 in
-      (* Low bits constant: every key's probe sequence begins at the same
-         slot in the initial segment.  High bits keep the keys distinct
-         in both lanes. *)
-      let h1_of i = (i + 1) lsl 12 in
-      let h2_of i = ((i + 1) * 0x9E3779B9) lxor 0x55 in
-      let wins = Array.init n_keys (fun _ -> Atomic.make 0) in
-      let worker seed () =
-        let st = Claim_table.fresh_opstats () in
-        (* Each domain visits the keys in a different (full-cycle) order:
-           [seed] is odd, hence coprime to the power-of-two key count. *)
-        for j = 0 to n_keys - 1 do
-          let i = (j * seed) land (n_keys - 1) in
-          match Claim_table.claim t st ~h1:(h1_of i) ~h2:(h2_of i) with
-          | `Fresh -> Atomic.incr wins.(i)
-          | `Dup -> ()
-        done;
-        st
-      in
-      let domains =
-        List.init jobs (fun i -> Domain.spawn (worker ((2 * i) + 3)))
-      in
-      let stats = List.map Domain.join domains in
-      Array.iteri
-        (fun i w ->
-          if Atomic.get w <> 1 then
-            Alcotest.failf "%s: key %d claimed fresh %d times" mode_label i
-              (Atomic.get w))
-        wins;
-      (* Occupancy counts consumed slots, which includes claims aborted
-         by the growth-validation race and tombstoned — so it can exceed
-         the distinct-key count by the (rare, scheduling-dependent)
-         number of retried claims, never fall below it. *)
-      Alcotest.(check bool)
-        (mode_label ^ " occupancy >= distinct keys")
-        true
-        (Claim_table.occupancy t >= n_keys);
-      (* The clustered hashes force long probe chains: the probe counter
-         must reflect that (strictly more probes than claims). *)
-      let probes =
-        List.fold_left (fun acc st -> acc + st.Claim_table.probes) 0 stats
-      in
-      Alcotest.(check bool) (mode_label ^ " probes counted") true
-        (probes > n_keys))
-    [ ("two-lane", `Two_lane); ("folded", `Folded) ]
+  let t = Claim_table.create ~initial_capacity:64 `Two_lane in
+  let n_keys = 4096 in
+  (* Low bits constant: every key's probe sequence begins at the same
+     slot in the initial segment.  High bits keep the keys distinct in
+     both lanes. *)
+  let h1_of i = (i + 1) lsl 12 in
+  let h2_of i = ((i + 1) * 0x9E3779B9) lxor 0x55 in
+  let wins = Array.init n_keys (fun _ -> Atomic.make 0) in
+  let worker seed () =
+    let st = Claim_table.fresh_opstats () in
+    (* Each domain visits the keys in a different (full-cycle) order:
+       [seed] is odd, hence coprime to the power-of-two key count. *)
+    for j = 0 to n_keys - 1 do
+      let i = (j * seed) land (n_keys - 1) in
+      match Claim_table.claim t st ~h1:(h1_of i) ~h2:(h2_of i) with
+      | `Fresh -> Atomic.incr wins.(i)
+      | `Dup -> ()
+    done;
+    st
+  in
+  let domains = List.init jobs (fun i -> Domain.spawn (worker ((2 * i) + 3))) in
+  let stats = List.map Domain.join domains in
+  Array.iteri
+    (fun i w ->
+      if Atomic.get w <> 1 then
+        Alcotest.failf "key %d claimed fresh %d times" i (Atomic.get w))
+    wins;
+  (* Occupancy counts consumed slots, which includes claims aborted by
+     the growth-validation race and tombstoned — so it can exceed the
+     distinct-key count by the (rare, scheduling-dependent) number of
+     retried claims, never fall below it. *)
+  Alcotest.(check bool)
+    "occupancy >= distinct keys" true
+    (Claim_table.occupancy t >= n_keys);
+  (* The clustered hashes force long probe chains: the probe counter
+     must reflect that (strictly more probes than claims). *)
+  let probes =
+    List.fold_left (fun acc st -> acc + st.Claim_table.probes) 0 stats
+  in
+  Alcotest.(check bool) "probes counted" true (probes > n_keys)
 
 (* ---------------------------------------------------------------- *)
 (* Parallel orbit minimization.                                      *)

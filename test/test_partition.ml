@@ -391,6 +391,28 @@ let spill_claim_once () =
     "heap footprint is bookkeeping only" true
     (Spill_table.memory_bytes t < Spill_table.spill_bytes t)
 
+(* A segment that cannot be mapped (here: the spill directory is gone)
+   raises out of the claim without keeping the table's lock, so the
+   next claim that needs the segment raises the same error instead of
+   blocking every worker of the partition. *)
+let spill_growth_error_releases_lock () =
+  let dir = "spill-vanish.tmp" in
+  let t = Spill_table.create ~initial_capacity:64 ~dir ~part:0 () in
+  Unix.rmdir dir;
+  let ops = Claim_table.fresh_opstats () in
+  let claim i = Spill_table.claim t ops ~h1:(i * 0x9E37) ~h2:(i * 7919) in
+  let rec until_error i =
+    if i > 64 then Alcotest.fail "segment growth never raised"
+    else
+      match claim i with
+      | `Fresh | `Dup -> until_error (i + 1)
+      | exception Unix.Unix_error _ -> i
+  in
+  let i = until_error 1 in
+  match claim (i + 1) with
+  | _ -> Alcotest.fail "claim needing the unmappable segment succeeded"
+  | exception Unix.Unix_error _ -> ()
+
 (* ---------------------------------------------------------------- *)
 (* Paranoid cross-validation over rebased cross-partition deltas.    *)
 
@@ -451,6 +473,8 @@ let suite =
         test "spill-mode counts match sequential" spill_determinism;
         test "spill via Search preserves verdicts" spill_search_dispatch;
         test "spill table claims once (forced collisions)" spill_claim_once;
+        test "failed segment growth releases the table lock"
+          spill_growth_error_releases_lock;
       ] );
     ( "partition.paranoid",
       [
