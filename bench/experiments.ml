@@ -1534,16 +1534,13 @@ let e21 () =
 
 (* ------------------------------------------------------------------ E22 *)
 
-(* Partitioned out-of-core exploration: the parallel engine's
-   fingerprint-lane state ownership with batched frontier exchange, at
-   1/2/4 partitions, over the heap claim tables and the mmap-spilled
-   62-bit tables.  The claim under test is the engine's determinism
-   contract — states / transitions / terminals / hung / crashed
-   bit-identical to the sequential explorer at every partition count in
-   both storage modes — plus the exchange
-   and spill traffic surfaced per run ([parallel.batches_sent],
-   [parallel.batch_bytes], [parallel.spill_bytes]).  [seq_threshold 0]
-   forces the worker/batch path even on these benchmark-sized spaces. *)
+(* Out-of-core exploration: the parallel engine at jobs 4 over the heap
+   claim table and the mmap-spilled 62-bit table.  The claim under test
+   is the engine's determinism contract — states / transitions /
+   terminals / hung / crashed / dedup hits bit-identical to the
+   sequential explorer in both storage modes — plus the spill traffic
+   surfaced per run ([parallel.spill_bytes]).  [seq_threshold 0] forces
+   the worker path even on these benchmark-sized spaces. *)
 let e22 () =
   let alg5_harness () =
     let store, t = Alg5.alloc Store.empty ~k:3 () in
@@ -1557,12 +1554,10 @@ let e22 () =
         (List.init 3 (fun i -> Alg2.propose t ~i (Value.Int (100 + i)))),
       2 )
   in
-  let metric name =
-    match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
-  in
-  let counter_names =
-    [ "parallel.batches_sent"; "parallel.batch_bytes";
-      "parallel.spill_bytes" ]
+  let spill_bytes () =
+    match Subc_obs.Metrics.find "parallel.spill_bytes" with
+    | Some v -> v
+    | None -> 0.
   in
   let rows =
     List.concat_map
@@ -1571,62 +1566,46 @@ let e22 () =
         let seq =
           Explore.iter_terminals ~max_crashes:f config ~f:(fun _ _ -> ())
         in
-        List.concat_map
+        List.map
           (fun (mode, spill) ->
-            List.map
-              (fun partitions ->
-                let before = List.map metric counter_names in
-                let t0 = Unix.gettimeofday () in
-                let stats =
-                  Parallel.iter_terminals ~max_crashes:f ?spill
-                    ~seq_threshold:0 ~partitions ~jobs:4 config
-                    ~f:(fun _ _ -> ())
-                in
-                let secs = Unix.gettimeofday () -. t0 in
-                let deltas =
-                  List.map2 ( -. ) (List.map metric counter_names) before
-                in
-                let same =
-                  stats.Explore.states = seq.Explore.states
-                  && stats.Explore.transitions = seq.Explore.transitions
-                  && stats.Explore.terminals = seq.Explore.terminals
-                  && stats.Explore.hung_terminals = seq.Explore.hung_terminals
-                  && stats.Explore.crashed_terminals
-                     = seq.Explore.crashed_terminals
-                  && stats.Explore.dedup_hits = seq.Explore.dedup_hits
-                in
-                let spilled = List.nth deltas 2 in
-                let ok =
-                  same
-                  && (mode <> "spill" || spilled > 0.)
-                  && (partitions > 1 || List.nth deltas 0 = 0.)
-                in
-                [
-                  family; string_of_int partitions; mode;
-                  string_of_int stats.Explore.states;
-                  string_of_int stats.Explore.transitions;
-                  string_of_int stats.Explore.terminals;
-                  Printf.sprintf "%.0f" (List.nth deltas 0);
-                  Printf.sprintf "%.0f" (List.nth deltas 1 /. 1024.);
-                  Printf.sprintf "%.0f" (spilled /. 1024.);
-                  Printf.sprintf "%.0fk/s"
-                    (float_of_int stats.Explore.states /. max 1e-9 secs /. 1e3);
-                  check
-                    (Printf.sprintf "E22 %s p=%d %s" family partitions mode)
-                    ok;
-                ])
-              [ 1; 2; 4 ])
+            let before = spill_bytes () in
+            let t0 = Unix.gettimeofday () in
+            let stats =
+              Parallel.iter_terminals ~max_crashes:f ?spill ~seq_threshold:0
+                ~jobs:4 config
+                ~f:(fun _ _ -> ())
+            in
+            let secs = Unix.gettimeofday () -. t0 in
+            let spilled = spill_bytes () -. before in
+            let same =
+              stats.Explore.states = seq.Explore.states
+              && stats.Explore.transitions = seq.Explore.transitions
+              && stats.Explore.terminals = seq.Explore.terminals
+              && stats.Explore.hung_terminals = seq.Explore.hung_terminals
+              && stats.Explore.crashed_terminals = seq.Explore.crashed_terminals
+              && stats.Explore.dedup_hits = seq.Explore.dedup_hits
+            in
+            let ok = same && (mode <> "spill" || spilled > 0.) in
+            [
+              family; mode;
+              string_of_int stats.Explore.states;
+              string_of_int stats.Explore.transitions;
+              string_of_int stats.Explore.terminals;
+              Printf.sprintf "%.0f" (spilled /. 1024.);
+              Printf.sprintf "%.0fk/s"
+                (float_of_int stats.Explore.states /. max 1e-9 secs /. 1e3);
+              check (Printf.sprintf "E22 %s %s" family mode) ok;
+            ])
           [ ("heap", None); ("spill", Some "_e22_spill.tmp") ])
       [ ("alg5 k=3 f=1", alg5_harness); ("alg2 k=3 f=2", alg2_harness) ]
   in
   table
     ~title:
-      "E22. Partitioned out-of-core exploration: counts bit-identical to \
-       the sequential explorer at 1/2/4 partitions, heap and mmap-spilled \
-       tables alike; batches cross partitions only when partitions > 1"
+      "E22. Out-of-core exploration at jobs 4: counts bit-identical to the \
+       sequential explorer, heap and mmap-spilled tables alike"
     ~header:
-      [ "family"; "parts"; "tables"; "states"; "transitions"; "terminals";
-        "batches"; "batch KB"; "spill KB"; "speed"; "verdict" ]
+      [ "family"; "tables"; "states"; "transitions"; "terminals"; "spill KB";
+        "speed"; "verdict" ]
     rows
 
 (* ------------------------------------------------------------ scaling *)

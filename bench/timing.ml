@@ -595,16 +595,17 @@ let perf_independence () =
         ])
     families
 
-(* P6 / E22 artifact rows: the parallel engine at 1/2/4 partitions.  Two
-   headline guards ride in [p6.partition_compare]:
+(* P6 / E22 artifact rows: the parallel engine over the heap claim
+   table and the mmap-spilled table.  Two headline guards ride in
+   [p6.spill_compare]:
 
    - [spill_vs_lockfree_memory]: the mmap-spilled visited set's heap
      residency must be <= 50% of the lock-free claim table's on the
      largest registry family (it is bookkeeping-only; the mapped pages
      are file-backed).
-   - determinism: every partitioned run's counts are diffed against the
-     sequential explorer, like P2 does for the parallel engine. *)
-let perf_partition ~jobs_list () =
+   - determinism: every run's counts are diffed against the sequential
+     explorer, like P2 does for the heap table. *)
+let perf_spill ~jobs_list () =
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
   let programs =
     List.init 3 (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
@@ -626,93 +627,72 @@ let perf_partition ~jobs_list () =
     (Option.get !result, !best)
   in
   let jobs = match List.rev jobs_list with j :: _ -> min j 4 | [] -> 4 in
-  let counter_names =
-    [ "parallel.batches_sent"; "parallel.batch_bytes";
-      "parallel.spill_bytes"; "parallel.steals" ]
-  in
-  let explore ?spill partitions =
+  let counter_names = [ "parallel.spill_bytes"; "parallel.steals" ] in
+  let explore ?spill () =
     let (stats, secs), deltas =
       counter_delta counter_names (fun () ->
           best_of (fun () ->
               Parallel.iter_terminals ~max_crashes:1 ?spill ~seq_threshold:0
-                ~partitions ~jobs config
+                ~jobs config
                 ~f:(fun _ _ -> ())))
     in
     (stats, secs, List.map (fun d -> d /. float_of_int repeat) deltas)
   in
-  let bytes_of_mode = Hashtbl.create 4 in
+  let bytes_of_mode = Hashtbl.create 2 in
   let rows =
-    List.concat_map
+    List.map
       (fun (mode, spill) ->
-        List.map
-          (fun partitions ->
-            let stats, secs, deltas = explore ?spill partitions in
-            if
-              stats.Explore.states <> base_stats.Explore.states
-              || stats.Explore.terminals <> base_stats.Explore.terminals
-            then
-              Format.printf
-                "!! p6 %s partitions=%d NONDETERMINISM: %d states / %d \
-                 terminals, expected %d / %d@."
-                mode partitions stats.Explore.states stats.Explore.terminals
-                base_stats.Explore.states base_stats.Explore.terminals;
-            let visited_bytes =
-              Option.value ~default:0.0
-                (Obs.Metrics.find "parallel.visited_bytes")
-            in
-            Hashtbl.replace bytes_of_mode mode visited_bytes;
-            Format.printf
-              "p6: explore alg5 k=3 f=1, tables=%s partitions=%d jobs=%d: %d \
-               states, %.3fs, %.0f batches, %.0f batch B, visited %.0f B@."
-              mode partitions jobs stats.Explore.states secs
-              (List.nth deltas 0) (List.nth deltas 1) visited_bytes;
-            {
-              name =
-                Printf.sprintf "p6.partition_explore.%s.p%d" mode partitions;
-              fields =
-                [
-                  ("partitions", float_of_int partitions);
-                  ("jobs", float_of_int jobs);
-                  ("states", float_of_int stats.Explore.states);
-                  ("seconds", secs);
-                  ( "states_per_sec",
-                    float_of_int stats.Explore.states /. max 1e-9 secs );
-                  ("collision_bound", stats.Explore.collision_bound);
-                  ("visited_bytes", visited_bytes);
-                  ("batches_sent", List.nth deltas 0);
-                  ("batch_bytes", List.nth deltas 1);
-                  ("spill_bytes", List.nth deltas 2);
-                  ("steals", List.nth deltas 3);
-                ];
-            })
-          [ 1; 2; 4 ])
+        let stats, secs, deltas = explore ?spill () in
+        if
+          stats.Explore.states <> base_stats.Explore.states
+          || stats.Explore.terminals <> base_stats.Explore.terminals
+        then
+          Format.printf
+            "!! p6 %s NONDETERMINISM: %d states / %d terminals, expected %d \
+             / %d@."
+            mode stats.Explore.states stats.Explore.terminals
+            base_stats.Explore.states base_stats.Explore.terminals;
+        let visited_bytes =
+          Option.value ~default:0.0 (Obs.Metrics.find "parallel.visited_bytes")
+        in
+        Hashtbl.replace bytes_of_mode mode visited_bytes;
+        Format.printf
+          "p6: explore alg5 k=3 f=1, tables=%s jobs=%d: %d states, %.3fs, \
+           visited %.0f B@."
+          mode jobs stats.Explore.states secs visited_bytes;
+        {
+          name = Printf.sprintf "p6.table_explore.%s" mode;
+          fields =
+            [
+              ("jobs", float_of_int jobs);
+              ("states", float_of_int stats.Explore.states);
+              ("seconds", secs);
+              ( "states_per_sec",
+                float_of_int stats.Explore.states /. max 1e-9 secs );
+              ("collision_bound", stats.Explore.collision_bound);
+              ("visited_bytes", visited_bytes);
+              ("spill_bytes", List.nth deltas 0);
+              ("steals", List.nth deltas 1);
+            ];
+        })
       [ ("heap", None); ("spill", Some "_perf_spill.tmp") ]
   in
-  (* The lock-free table's bytes for the memory headline: one
-     single-partition heap run (same family, same budget). *)
-  ignore
-    (Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~jobs config
-       ~f:(fun _ _ -> ()));
-  let lockfree_bytes =
-    Option.value ~default:0.0 (Obs.Metrics.find "parallel.visited_bytes")
+  let lockfree_bytes = Hashtbl.find bytes_of_mode "heap" in
+  let spill_bytes_heap = Hashtbl.find bytes_of_mode "spill" in
+  let ratio =
+    if lockfree_bytes > 0.0 then spill_bytes_heap /. lockfree_bytes else 0.0
   in
-  let spill_bytes_heap =
-    try Hashtbl.find bytes_of_mode "spill" with Not_found -> 0.0
-  in
-  Format.printf "p6: spill heap bytes / lockfree %.2fx@."
-    (if lockfree_bytes > 0.0 then spill_bytes_heap /. lockfree_bytes else 0.0);
+  Format.printf "p6: spill heap bytes / lockfree %.2fx@." ratio;
   rows
   @ [
       {
-        name = "p6.partition_compare";
+        name = "p6.spill_compare";
         fields =
           [
             ("jobs", float_of_int jobs);
             ("lockfree_visited_bytes", lockfree_bytes);
             ("spill_heap_bytes", spill_bytes_heap);
-            ( "spill_vs_lockfree_memory",
-              if lockfree_bytes > 0.0 then spill_bytes_heap /. lockfree_bytes
-              else 0.0 );
+            ("spill_vs_lockfree_memory", ratio);
           ];
       };
     ]
@@ -786,8 +766,8 @@ let run_perf ?(jobs_list = [ 1; 2; 4; 8 ]) () =
     perf_reduction ~jobs_list:(List.filter (fun j -> j <= 4) jobs_list) ()
   in
   let independence = perf_independence () in
-  let partition = perf_partition ~jobs_list () in
+  let spill = perf_spill ~jobs_list () in
   let seq_fallback = perf_seq_fallback () in
   write_results
-    ((fingerprint :: parallel) @ canonical @ reduction @ independence @ partition
+    ((fingerprint :: parallel) @ canonical @ reduction @ independence @ spill
     @ seq_fallback)

@@ -267,7 +267,7 @@ let resolve_independence independence reduction =
 (* One [Search.options] record from the CLI's flags — the single funnel
    every checking subcommand goes through. *)
 let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-    ~max_crashes ~max_recoveries ~jobs ~partitions () =
+    ~max_crashes ~max_recoveries ~jobs () =
   {
     Search.default with
     max_states;
@@ -277,7 +277,6 @@ let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
     expected_states;
     reduction = Option.value reduction ~default:Search.default.reduction;
     jobs = max 1 jobs;
-    partitions = max 1 partitions;
     spill;
   }
 
@@ -353,24 +352,12 @@ let jobs_arg =
            search: stolen subtrees prune identically to the sequential \
            explorer.")
 
-let partitions_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "partitions" ] ~docv:"P"
-        ~doc:
-          "Partition state ownership across $(docv) hash-partitioned \
-           visited tables (fingerprint-lane routing) with batched \
-           cross-partition frontier exchange; $(b,--jobs) domains are \
-           split evenly across partitions, and $(docv) > 1 runs the \
-           parallel engine even at $(b,--jobs) 1.  Verdicts and state \
-           counts are identical at any $(docv).")
-
 let spill_arg =
   Arg.(
     value & opt (some string) None
     & info [ "spill" ] ~docv:"DIR"
         ~doc:
-          "Out-of-core mode: keep each partition's visited set in mmap'd \
+          "Out-of-core mode: keep the visited set in mmap'd \
            files of 62-bit compressed claim words under $(docv) (created \
            if absent; segment files are unlinked after mapping, so \
            nothing persists).  Heap residency drops to bookkeeping; the \
@@ -392,7 +379,7 @@ let certified_arg =
 (* check: one verdict per invocation, under the shared contract.       *)
 
 let check_cmd =
-  let run alg n k f r deadline expected_states max_states jobs partitions
+  let run alg n k f r deadline expected_states max_states jobs
       spill choice independence certified json metrics =
     setup_obs ~json ~metrics;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
@@ -402,7 +389,7 @@ let check_cmd =
     in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~partitions ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
     in
     let v = check_instance ~options inst in
     report ~json alg v;
@@ -422,7 +409,7 @@ let check_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ reduction_arg $ independence_arg
+      $ spill_arg $ reduction_arg $ independence_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -447,7 +434,7 @@ let stats_fields reduction (stats : Explore.stats) =
   ]
 
 let explore_cmd =
-  let run alg n k f r deadline expected_states max_states jobs partitions
+  let run alg n k f r deadline expected_states max_states jobs
       spill choice independence certified json metrics =
     setup_obs ~json ~metrics;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
@@ -459,7 +446,7 @@ let explore_cmd =
     let config = Config.make store programs in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~partitions ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
     in
     let stats =
       Obs.Span.time "cli.explore" @@ fun () ->
@@ -473,10 +460,9 @@ let explore_cmd =
              fields =
                ("alg", Obs.Sink.Str alg)
                :: ("jobs", Obs.Sink.Int jobs)
-               :: ("partitions", Obs.Sink.Int (max 1 partitions))
                :: ( "visited",
                     Obs.Sink.Str
-                      (if jobs > 1 || partitions > 1 || spill <> None then
+                      (if jobs > 1 || spill <> None then
                          Parallel.table_name ~paranoid:false ~spill
                        else "sequential") )
                :: stats_fields reduction stats;
@@ -503,7 +489,7 @@ let explore_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ reduction_arg $ independence_arg
+      $ spill_arg $ reduction_arg $ independence_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -823,7 +809,7 @@ let analyze_cmd =
    crash-sweep at any --jobs.                                          *)
 
 let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs partitions spill choice independence certified json metrics =
+    jobs spill choice independence certified json metrics =
   setup_obs ~json ~metrics;
   let verdicts = ref [] in
   let note name v =
@@ -837,7 +823,7 @@ let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
   in
   let cell_options ~max_crashes ~max_recoveries =
     options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-      ~max_crashes ~max_recoveries ~jobs ~partitions ()
+      ~max_crashes ~max_recoveries ~jobs ()
   in
   let store, programs = instance_store_programs inst in
   (match inst with
@@ -880,9 +866,9 @@ let solo_limit_arg =
 
 let crash_sweep_cmd =
   let run alg k f deadline expected_states max_states solo_limit jobs
-      partitions spill choice independence certified json metrics =
+      spill choice independence certified json metrics =
     run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs partitions spill choice independence certified json metrics
+      jobs spill choice independence certified json metrics
   in
   Cmd.v
     (Cmd.info "crash-sweep"
@@ -894,14 +880,14 @@ let crash_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
       $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ reduction_arg $ independence_arg
+      $ spill_arg $ reduction_arg $ independence_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 let recover_sweep_cmd =
   let run alg k f r deadline expected_states max_states solo_limit jobs
-      partitions spill choice independence certified json metrics =
+      spill choice independence certified json metrics =
     run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs partitions spill choice independence certified json metrics
+      jobs spill choice independence certified json metrics
   in
   let sweep_recoveries_arg =
     Arg.(
@@ -923,7 +909,7 @@ let recover_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
-      $ jobs_arg $ partitions_arg $ spill_arg $ reduction_arg
+      $ jobs_arg $ spill_arg $ reduction_arg
       $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 let () =

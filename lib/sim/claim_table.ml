@@ -50,8 +50,7 @@ let dead = 1
 
 let[@inline] encode h = h lor min_int
 
-(* One well-mixed word out of both lanes: the partition router, batch
-   dedup and the spill table's 62-bit key. *)
+(* One well-mixed word out of both lanes: the spill table's 62-bit key. *)
 let fold_key h1 h2 =
   let x = h1 + (h2 * 0x27D4EB2F165667C5) in
   let x = (x lxor (x lsr 31)) * 0x2545F4914F6CDD1D in

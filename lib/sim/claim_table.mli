@@ -42,9 +42,8 @@ val memory_bytes : t -> int
 (** Analytic memory footprint of the table's arrays and atoms. *)
 
 val fold_key : int -> int -> int
-(** One well-mixed word out of both fingerprint lanes.  The partition
-    router, the batch buffers' dedup and the out-of-core {!Spill_table}
-    all key by {e exactly} this 62-bit compression. *)
+(** One well-mixed word out of both fingerprint lanes: the out-of-core
+    {!Spill_table} keys by {e exactly} this 62-bit compression. *)
 
 val encode : int -> int
 (** Force the live-entry tag (sign bit) onto a lane word: a stored word

@@ -128,8 +128,7 @@ type stats = {
           collision merged two distinct states this search
           (n(n-1)/2 · 2^-bits for the visited-table width in use:
           126 sequential, 124 for the parallel claim table, 62 for the
-          spill table, summed over partitions; exactly 0.0 under
-          [~paranoid]) *)
+          spill table; exactly 0.0 under [~paranoid]) *)
   limited : bool;
       (** true iff the search was truncated — it is then {e not} a proof;
           [limit_reason] says why *)

@@ -1,22 +1,15 @@
 (* Multicore exploration: the one parallel driver for the sequential
-   explorer's transition relation, with hash-partitioned state
-   ownership, batched cross-partition frontier exchange and an optional
-   out-of-core (mmap-spilled) visited table per partition.
+   explorer's transition relation, over one visited table shared by
+   [jobs] work-stealing worker domains, optionally out-of-core
+   (mmap-spilled).
 
-   Every search node is {e owned} by exactly one of [partitions]
-   partitions (default 1), chosen by a pure hash of its claim key (the
-   fingerprint of the canonical (state, sleep) pair; with reductions off
-   this is literally the state's fingerprint lane).  Each partition owns
-   a private visited table ([vtable]) plus [jobs / partitions] worker
-   domains with per-worker Chase–Lev deques ({!Ws_deque}).  A worker
-   runs depth-first search over its own deque (LIFO bottom) and, when it
-   empties, steals from a random sibling's top (lock-free CAS); stealing
-   stays inside the partition, and work crosses a partition boundary
-   exactly once, as a batch.  At one partition every successor routes
-   to its producer's own partition, so the batch code stays idle.
+   Each worker owns a Chase–Lev deque ({!Ws_deque}); it runs depth-first
+   search over its own deque (LIFO bottom) and, when it empties, steals
+   from a random sibling's top (lock-free CAS).  Every successor is
+   pushed straight onto its producer's deque.
 
    A node is {e claimed} exactly once, by whichever worker's claim lands
-   first in its owner's visited table; only the claimer expands it, so
+   first in the visited table ([vtable]); only the claimer expands it, so
    every node is expanded at most once and the explored graph is exactly
    the sequential one.  The table is a function of the key kind: exact
    [~paranoid] keys go to mutex-sharded hashtables (the only table that
@@ -25,56 +18,39 @@
 
    {b Producer-side keys.}  The producer of a successor computes its
    claim key (it holds the materialized successor configuration anyway,
-   straight out of [Explore.source_successors]) and the routing follows
-   from it.  The work item then travels delta-encoded ({!Config.Delta})
-   with the key attached, so the owner claims without materializing
-   anything: a duplicate — local or from another partition — is
-   rejected on the strength of the carried key alone, and an item is
-   materialized only when its claim wins.  Pending cross-partition items
-   are additionally deduplicated {e inside} each batch buffer by their
-   folded 62-bit word ([Claim_table.fold_key]) before they are sent: an
-   item whose full fingerprint matches a buffered one is dropped and
-   counted as the dedup hit it would have become.
-
-   {b Batched exchange.}  Each worker keeps one buffer per destination
-   partition; a buffer flushes into the destination's mutex-protected
-   inbox when it reaches [?batch_size] items (default 64) or when the
-   worker goes idle, so a starved partition never waits on a half-full
-   buffer held by a busy peer.  Owners drain their inbox into their own
-   deque whenever their deque empties.
+   straight out of [Explore.source_successors]).  The work item then
+   travels delta-encoded ({!Config.Delta}) with the key attached, so the
+   claimer needs no materialization to reject a duplicate: an item is
+   materialized only when its claim wins.
 
    {b Termination: a global credit counter.}  [in_flight] counts every
-   work item in existence (deques, batch buffers, inboxes, the seed
-   queue), incremented {e before} an item becomes reachable and
-   decremented only after it is fully processed (its children counted
-   first).  [in_flight = 0] therefore proves global exhaustion — it can
-   never be observed while any item exists or is being expanded — and
-   an idle worker (empty deque, drained inbox, flushed buffers, failed
-   steals) that reads 0 ends the search.
+   work item in existence (deques and the seed queue), incremented
+   {e before} an item becomes reachable and decremented only after it is
+   fully processed (its children counted first).  [in_flight = 0]
+   therefore proves global exhaustion — it can never be observed while
+   any item exists or is being expanded — and an idle worker (empty
+   deque, failed steals) that reads 0 ends the search.
 
    {b Budget exactness.}  A successful claim draws a ticket from the one
    shared state counter (claim first, ticket second); tickets below
    [max_states] are counted, the first ticket at the budget raises the
    stop flag and is {e not} counted — so a truncated search reports
-   exactly [max_states] states at any partition count, matching the
-   sequential engine.  Stop causes are first-cause-wins ([Budget],
-   [Deadline], a callback exception); workers poll between items.
+   exactly [max_states] states at any [jobs], matching the sequential
+   engine.  Stop causes are first-cause-wins ([Budget], [Deadline], a
+   callback exception); workers poll between items.
 
-   {b Determinism} (see DESIGN.md, "Parallel exploration").  The
-   partition tables partition the claim-key space by a pure function of
-   the key, so the union of the per-partition claim-once sets is exactly
-   the single-table claim-once set; each claimed key is expanded by the
-   same pure function ([Explore.source_successors] of the canonical
-   (state, sleep) pair, the sleep set travelling inside the work item)
-   whichever worker or partition claims it and however steals and
-   batches interleave.  [states], [transitions], [terminals],
-   [hung_terminals], [crashed_terminals], [recovered_terminals],
-   [dedup_hits] and [source_skips] are therefore identical at any
-   [partitions] x [jobs] x reduction.  [max_depth] and the
-   witness traces are racy.  Cycle detection is not offered: back-edges
-   are indistinguishable from cross-edges without a per-domain DFS
-   stack discipline, so revisits count as [dedup_hits]; use the
-   sequential [Explore.find_cycle]. *)
+   {b Determinism} (see DESIGN.md, "Parallel exploration").  Each
+   claimed key is expanded by the same pure function
+   ([Explore.source_successors] of the canonical (state, sleep) pair,
+   the sleep set travelling inside the work item) whichever worker
+   claims it and however steals interleave.  [states], [transitions],
+   [terminals], [hung_terminals], [crashed_terminals],
+   [recovered_terminals], [dedup_hits] and [source_skips] are therefore
+   identical at any [jobs] x reduction.  [max_depth] and the witness
+   traces are racy.  Cycle detection is not offered: back-edges are
+   indistinguishable from cross-edges without a per-domain DFS stack
+   discipline, so revisits count as [dedup_hits]; use the sequential
+   [Explore.find_cycle]. *)
 
 module Obs = Subc_obs
 
@@ -91,9 +67,8 @@ let default_seq_threshold = 4096
 
 type stop_cause = Budget | Deadline | Callback of exn
 
-(* Mutex shards per partition for the exact-key table: 128 in total, at
-   least 32 per partition. *)
-let shards_per_part n_parts = max 32 (128 / n_parts)
+(* Mutex shards of the exact-key table. *)
+let n_shards = 128
 
 type shard = { lock : Mutex.t; tbl : unit Fingerprint.Ktbl.t }
 
@@ -108,38 +83,24 @@ type vtable =
 let table_name ~paranoid ~spill =
   if paranoid then "sharded" else if spill <> None then "spill" else "lockfree"
 
-(* A work item carries everything its owner needs to claim and expand it
-   without re-deriving anything: the configuration, delta-encoded
+(* A work item carries everything its claimer needs to claim and expand
+   it without re-deriving anything: the configuration, delta-encoded
    ({!Config.Delta}: each push extends the parent's chain with its
    transition's one-proc-slot / one-store-slot patch, so an item retains
    O(1) fresh words); the carried homomorphic fingerprint ([Some]
    exactly with symmetry off, for paranoid cross-validation and O(1)
-   child patching); the precomputed claim key; the canonicalizing
+   child patching); the precomputed claim key; and the canonicalizing
    renaming and enabled-restricted sleep (the
    [Explore.source_successors] inputs — carried so a stolen subtree
-   prunes identically to an owner-executed one); and the owner partition
-   its key routes to. *)
+   prunes identically to one its producer expands). *)
 type work = {
   delta : Config.Delta.t;
   fp : Fingerprint.t option;
   ckey : Fingerprint.key;
-  owner : int;
   pi : Symmetry.perm option;
   rsleep : Explore.tr list;
   rev_trace : Trace.event list;
   depth : int;
-}
-
-type inbox = {
-  m : Mutex.t;
-  mutable batches : work list list;
-  n_items : int Atomic.t; (* lock-free emptiness fast path + sampling *)
-}
-
-type part = {
-  table : vtable;
-  deques : work Ws_deque.t array; (* one per local worker *)
-  inbox : inbox;
 }
 
 (* Per-worker statistics, merged after the join (sums except
@@ -162,8 +123,6 @@ type dstats = {
   mutable depth_limited : bool;
   mutable steals : int;
   mutable contention : int;
-  mutable batches_sent : int;
-  mutable batch_bytes : int;
   claim : Claim_table.opstats; (* probes + CAS retries, all hot paths *)
   mutable seconds : float;
 }
@@ -187,16 +146,13 @@ let fresh_dstats () =
     depth_limited = false;
     steals = 0;
     contention = 0;
-    batches_sent = 0;
-    batch_bytes = 0;
     claim = Claim_table.fresh_opstats ();
     seconds = 0.0;
   }
 
 type global = {
-  parts : part array;
-  n_parts : int;
-  batch_size : int;
+  table : vtable;
+  deques : work Ws_deque.t array; (* one per worker *)
   spill : string option;
   stop : stop_cause option Atomic.t;
   finished : bool Atomic.t;
@@ -215,54 +171,36 @@ type global = {
   on_visit : Config.t -> Trace.t Lazy.t -> unit;
 }
 
-(* Per-destination batch buffer.  [keys] is the compressed-key batch
-   dedup: folded 62-bit word -> full lanes of the buffered item. *)
-type buffer = {
-  mutable items : work list;
-  mutable count : int;
-  mutable words : int;
-  keys : (int, int * int) Hashtbl.t;
-}
+(* Where a context pushes the successors it produces: the seeding pass
+   into its breadth-first queue, a worker onto its own deque. *)
+type frontier = Seed of work Queue.t | Own of work Ws_deque.t
 
 type ctx = {
   g : global;
-  pid : int; (* owning partition *)
-  wid : int; (* deque index within the partition *)
+  wid : int; (* this worker's deque index *)
+  out : frontier;
   stats : dstats;
   commute : Explore.commute_cache;
-  bufs : buffer array; (* one per destination; [||] for the seeder *)
   mutable rng : int;
   mutable tick : int;
-  mutable route_push : int -> work -> unit; (* owner -> item -> () *)
 }
 
 let set_stop g cause = ignore (Atomic.compare_and_set g.stop None (Some cause))
 
-(* Ownership routing: a pure, well-mixed function of the claim key.
-   With reductions off the claim key {e is} the state's fingerprint, so
-   this is hash-partitioned state ownership by fingerprint lane; under
-   reductions it partitions (state, sleep) nodes, which is exactly the
-   granularity the claim-once argument needs. *)
-let[@inline] route key n =
-  if n <= 1 then 0
-  else
-    let x = Fingerprint.key_hash key in
-    Claim_table.fold_key x (x lxor 0x9E3779B97F4A7C5) land max_int mod n
-
-(* Claim [item]'s key in its owner partition's table.  [`Fresh] means
-   this worker owns the node and must expand it; [`Dup] means another
-   claim got there first; [`Budget] means the global state budget is
-   exhausted — the node is left uncounted.  Claim first, ticket second
-   (on the shared [n_states]): every ticket below the budget goes to
-   exactly one successful claim, so a truncated run reports exactly
-   [max_states] states at any partition count. *)
+(* Claim [item]'s key in the visited table.  [`Fresh] means this worker
+   owns the node and must expand it; [`Dup] means another claim got
+   there first; [`Budget] means the global state budget is exhausted —
+   the node is left uncounted.  Claim first, ticket second (on the
+   shared [n_states]): every ticket below the budget goes to exactly one
+   successful claim, so a truncated run reports exactly [max_states]
+   states at any [jobs]. *)
 let claim ctx item =
   let g = ctx.g in
   let ticket () =
     if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
     else `Fresh
   in
-  match (g.parts.(item.owner).table, item.ckey) with
+  match (g.table, item.ckey) with
   | Claims t, Fingerprint.Fp f -> (
     match
       Claim_table.claim t ctx.stats.claim ~h1:f.Fingerprint.h1
@@ -297,55 +235,6 @@ let claim ctx item =
     (* Exact keys only arise under [~paranoid], which builds [Shards]. *)
     assert false
 
-(* Flush one destination buffer into its partition's inbox. *)
-let flush ctx dest =
-  let b = ctx.bufs.(dest) in
-  if b.count > 0 then begin
-    let inbox = ctx.g.parts.(dest).inbox in
-    Mutex.lock inbox.m;
-    inbox.batches <- b.items :: inbox.batches;
-    Atomic.fetch_and_add inbox.n_items b.count |> ignore;
-    Mutex.unlock inbox.m;
-    ctx.stats.batches_sent <- ctx.stats.batches_sent + 1;
-    (* Item overhead (list cons + record header + key) plus the deltas'
-       unique retention — the bytes the batch actually moves. *)
-    ctx.stats.batch_bytes <- ctx.stats.batch_bytes + (8 * (b.words + (10 * b.count)));
-    b.items <- [];
-    b.count <- 0;
-    b.words <- 0;
-    Hashtbl.reset b.keys
-  end
-
-let flush_all ctx =
-  Array.iteri (fun dest _ -> flush ctx dest) ctx.bufs
-
-(* Buffer a cross-partition item, deduplicating by compressed key: a
-   pending item whose full fingerprint matches a buffered one can only
-   become a [`Dup] at the owner, so it is dropped here and counted as
-   the dedup hit it would have been — same totals, fewer resident
-   items.  Exact (paranoid) keys skip the compression. *)
-let buffer_add ctx dest w =
-  let b = ctx.bufs.(dest) in
-  let dropped =
-    match w.ckey with
-    | Fingerprint.Fp f -> (
-      let folded = Claim_table.fold_key f.Fingerprint.h1 f.Fingerprint.h2 in
-      match Hashtbl.find_opt b.keys folded with
-      | Some (h1, h2) -> h1 = f.Fingerprint.h1 && h2 = f.Fingerprint.h2
-      | None ->
-        Hashtbl.add b.keys folded (f.Fingerprint.h1, f.Fingerprint.h2);
-        false)
-    | Fingerprint.Exact _ -> false
-  in
-  if dropped then ctx.stats.dedup_hits <- ctx.stats.dedup_hits + 1
-  else begin
-    Atomic.incr ctx.g.in_flight;
-    b.items <- w :: b.items;
-    b.count <- b.count + 1;
-    b.words <- b.words + 7 + Config.Delta.approx_words w.delta;
-    if b.count >= ctx.g.batch_size then flush ctx dest
-  end
-
 (* Expand one claimed-or-not work item; the caller decrements
    [in_flight] after this returns (children are counted inside, so the
    counter can never be observed at zero mid-expansion).  Exceptions
@@ -358,15 +247,7 @@ let process ctx item =
     if g.deadline_at < infinity && Unix.gettimeofday () > g.deadline_at then
       set_stop g Deadline;
     (* Sample the frontier population for the peak gauge. *)
-    let sz =
-      Array.fold_left
-        (fun acc (p : part) ->
-          Array.fold_left
-            (fun a d -> a + Ws_deque.size d)
-            (acc + Atomic.get p.inbox.n_items)
-            p.deques)
-        0 g.parts
-    in
+    let sz = Array.fold_left (fun a d -> a + Ws_deque.size d) 0 g.deques in
     let rec bump () =
       let cur = Atomic.get g.frontier_peak in
       if sz > cur && not (Atomic.compare_and_set g.frontier_peak cur sz) then
@@ -381,8 +262,8 @@ let process ctx item =
     | `Dup -> ctx.stats.dedup_hits <- ctx.stats.dedup_hits + 1
     | `Budget -> set_stop g Budget
     | `Fresh ->
-      (* Only a winning claim materializes: cross-partition duplicates
-         die as carried keys, never as configurations. *)
+      (* Only a winning claim materializes: duplicates die as carried
+         keys, never as configurations. *)
       let config = Config.Delta.materialize item.delta in
       ctx.stats.states <- ctx.stats.states + 1;
       (* Paranoid cross-validation of the carried incremental
@@ -450,42 +331,26 @@ let process ctx item =
                   ~max_crashes:g.max_crashes ~carried:fp' config'
                   ~sleep:grp.Explore.g_sleep
               in
-              let owner = route ckey g.n_parts in
               ctx.stats.pushed_items <- ctx.stats.pushed_items + 1;
               ctx.stats.pushed_words <-
                 ctx.stats.pushed_words + 7 + Config.Delta.approx_words delta';
-              ctx.route_push owner
+              let w =
                 {
                   delta = delta';
                   fp = fp';
                   ckey;
-                  owner;
                   pi;
                   rsleep;
                   rev_trace = event :: item.rev_trace;
                   depth = item.depth + 1;
-                })
+                }
+              in
+              Atomic.incr g.in_flight;
+              match ctx.out with
+              | Seed q -> Queue.push w q
+              | Own d -> Ws_deque.push d w)
             grp.Explore.g_succs)
         groups
-
-(* Drain this partition's inbox into the calling worker's own deque.
-   Returns whether anything arrived. *)
-let drain_inbox ctx =
-  let inbox = ctx.g.parts.(ctx.pid).inbox in
-  if Atomic.get inbox.n_items = 0 then false
-  else begin
-    Mutex.lock inbox.m;
-    let batches = inbox.batches in
-    inbox.batches <- [];
-    Atomic.set inbox.n_items 0;
-    Mutex.unlock inbox.m;
-    match batches with
-    | [] -> false
-    | _ ->
-      let deque = ctx.g.parts.(ctx.pid).deques.(ctx.wid) in
-      List.iter (List.iter (fun w -> Ws_deque.push deque w)) batches;
-      true
-  end
 
 let[@inline] next_rand ctx =
   let x = ctx.rng in
@@ -496,12 +361,11 @@ let[@inline] next_rand ctx =
   ctx.rng <- (if x = 0 then 0x9E3779B9 else x);
   ctx.rng
 
-(* One steal sweep over the sibling deques of this partition (ownership
-   confines stealing: cross-partition work moves only through batches).
-   [None] after a full unsuccessful sweep — the worker's outer loop
-   re-checks the inbox and the credit counter and spins. *)
+(* One steal sweep over the sibling deques.  [None] after a full
+   unsuccessful sweep — the worker's outer loop re-checks the credit
+   counter and spins. *)
 let steal ctx =
-  let deques = ctx.g.parts.(ctx.pid).deques in
+  let deques = ctx.g.deques in
   let n = Array.length deques in
   if n <= 1 then None
   else begin
@@ -529,75 +393,53 @@ let rec worker ctx =
   let g = ctx.g in
   if Atomic.get g.stop <> None || Atomic.get g.finished then ()
   else
-    match Ws_deque.pop g.parts.(ctx.pid).deques.(ctx.wid) with
+    let next =
+      match Ws_deque.pop g.deques.(ctx.wid) with
+      | Some _ as item -> item
+      | None -> steal ctx
+    in
+    match next with
     | Some item ->
       (try process ctx item with e -> set_stop g (Callback e));
       Atomic.decr g.in_flight;
       worker ctx
     | None ->
-      if drain_inbox ctx then worker ctx
-      else begin
-        (* Idle: publish everything we are holding before drawing any
-           conclusion — a buffered batch must not starve its owner. *)
-        flush_all ctx;
-        match steal ctx with
-        | Some item ->
-          (try process ctx item with e -> set_stop g (Callback e));
-          Atomic.decr g.in_flight;
-          worker ctx
-        | None ->
-          if Atomic.get g.in_flight = 0 then Atomic.set g.finished true
-          else Domain.cpu_relax ();
-          worker ctx
-      end
+      if Atomic.get g.in_flight = 0 then Atomic.set g.finished true
+      else Domain.cpu_relax ();
+      worker ctx
 
-(* Birthday bound per table at its key width, summed over partitions:
-   keys never compare across tables, so the per-table pair bounds
-   union-bound the whole run.  The sharded tables hold exact (paranoid)
-   keys, which cannot collide.  A claim table's occupancy also counts
-   aborted claims, hence the cap at the run's state count. *)
+(* Birthday bound of the table at its key width.  The sharded table
+   holds exact (paranoid) keys, which cannot collide.  A claim table's
+   occupancy also counts aborted claims, hence the cap at the run's
+   state count. *)
 let collision_bound g ~states =
-  min 1.0
-    (Array.fold_left
-       (fun acc p ->
-         acc
-         +.
-         match p.table with
-         | Shards _ -> 0.0
-         | Claims t ->
-           Explore.collision_bound ~bits:124
-             ~states:(min states (Claim_table.occupancy t))
-         | Spill s ->
-           Explore.collision_bound ~bits:62 ~states:(Spill_table.occupancy s))
-       0.0 g.parts)
+  match g.table with
+  | Shards _ -> 0.0
+  | Claims t ->
+    Explore.collision_bound ~bits:124
+      ~states:(min states (Claim_table.occupancy t))
+  | Spill s ->
+    Explore.collision_bound ~bits:62 ~states:(Spill_table.occupancy s)
 
-(* Approximate footprint of the visited sets, for the bench's
+(* Approximate footprint of the visited set, for the bench's
    memory-per-state comparison: analytic for the claim and spill tables
    (a spill table's heap bookkeeping only), a bucket+cons estimate for
    the sharded hashtables (their exact paranoid keys hold whole key
    trees, not counted — paranoid is a debug mode). *)
 let visited_bytes g =
-  Array.fold_left
-    (fun acc p ->
-      acc
-      +
-      match p.table with
-      | Claims t -> Claim_table.memory_bytes t
-      | Spill s -> Spill_table.memory_bytes s
-      | Shards shards ->
-        8
-        * Array.fold_left
-            (fun a sh ->
-              let s = Fingerprint.Ktbl.stats sh.tbl in
-              a + s.Hashtbl.num_buckets + (7 * s.Hashtbl.num_bindings))
-            0 shards)
-    0 g.parts
+  match g.table with
+  | Claims t -> Claim_table.memory_bytes t
+  | Spill s -> Spill_table.memory_bytes s
+  | Shards shards ->
+    8
+    * Array.fold_left
+        (fun a sh ->
+          let s = Fingerprint.Ktbl.stats sh.tbl in
+          a + s.Hashtbl.num_buckets + (7 * s.Hashtbl.num_bindings))
+        0 shards
 
 let spill_bytes g =
-  Array.fold_left
-    (fun acc p ->
-      acc + match p.table with Spill s -> Spill_table.spill_bytes s | _ -> 0)
-    0 g.parts
+  match g.table with Spill s -> Spill_table.spill_bytes s | _ -> 0
 
 let merge_stats g (all : dstats list) =
   let sum f = List.fold_left (fun acc d -> acc + f d) 0 all in
@@ -646,8 +488,6 @@ let m_probes = Obs.Metrics.counter "parallel.probes"
 let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
 let m_contention = Obs.Metrics.counter "parallel.shard_contention"
 let m_source = Obs.Metrics.counter "parallel.source_skips"
-let m_batches_sent = Obs.Metrics.counter "parallel.batches_sent"
-let m_batch_bytes = Obs.Metrics.counter "parallel.batch_bytes"
 let m_spill_bytes = Obs.Metrics.counter "parallel.spill_bytes"
 let m_spill_probes = Obs.Metrics.counter "parallel.spill_probes"
 
@@ -662,7 +502,6 @@ let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
    per-worker d0.. breakdown of the event stays worker-only. *)
 let emit_obs label g stats ~workers ~all dt =
   let spilling = g.spill <> None && not g.paranoid in
-  let total f = List.fold_left (fun a d -> a + f d) 0 all in
   Obs.Metrics.incr m_searches;
   Obs.Metrics.add m_states stats.Explore.states;
   Obs.Metrics.add m_source stats.Explore.source_skips;
@@ -672,8 +511,6 @@ let emit_obs label g stats ~workers ~all dt =
       Obs.Metrics.add m_probes d.claim.Claim_table.probes;
       Obs.Metrics.add m_cas_retries d.claim.Claim_table.cas_retries;
       Obs.Metrics.add m_contention d.contention;
-      Obs.Metrics.add m_batches_sent d.batches_sent;
-      Obs.Metrics.add m_batch_bytes d.batch_bytes;
       if spilling then
         Obs.Metrics.add m_spill_probes d.claim.Claim_table.probes;
       Obs.Metrics.add m_fp_patches d.fp_patches;
@@ -692,7 +529,6 @@ let emit_obs label g stats ~workers ~all dt =
       ([
          ("search", Obs.Sink.Str label);
          ("jobs", Obs.Sink.Int (Array.length workers));
-         ("partitions", Obs.Sink.Int g.n_parts);
          ( "visited",
            Obs.Sink.Str (table_name ~paranoid:g.paranoid ~spill:g.spill) );
          ("states", Obs.Sink.Int stats.Explore.states);
@@ -700,8 +536,6 @@ let emit_obs label g stats ~workers ~all dt =
          ("terminals", Obs.Sink.Int stats.Explore.terminals);
          ("dedup_hits", Obs.Sink.Int stats.Explore.dedup_hits);
          ("source_skips", Obs.Sink.Int stats.Explore.source_skips);
-         ("batches_sent", Obs.Sink.Int (total (fun d -> d.batches_sent)));
-         ("batch_bytes", Obs.Sink.Int (total (fun d -> d.batch_bytes)));
          ("visited_bytes", Obs.Sink.Int (visited_bytes g));
          ("spill_bytes", Obs.Sink.Int (spill_bytes g));
          ("collision_bound", Obs.Sink.Float stats.Explore.collision_bound);
@@ -728,18 +562,11 @@ let emit_obs label g stats ~workers ~all dt =
                ])
              (Array.to_list workers)))
 
-let fresh_buffers n =
-  Array.init n (fun _ ->
-      { items = []; count = 0; words = 0; keys = Hashtbl.create 64 })
-
 let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
     ?(max_crashes = 0) ?(max_recoveries = 0) ?deadline ?expected_states
     ?(reduction = Explore.no_reduction) ?(paranoid = false) ?seed_target
-    ?seq_threshold ?(batch_size = 64) ?spill ?(partitions = 1) ~jobs
-    ~on_terminal ~on_visit label config =
-  let n_parts = max 1 partitions in
-  let jobs_per_part = max 1 (max 1 jobs / n_parts) in
-  let n_workers = n_parts * jobs_per_part in
+    ?seq_threshold ?spill ~jobs ~on_terminal ~on_visit label config =
+  let n_workers = max 1 jobs in
   (* A homomorphic fingerprint is carried only with symmetry off
      (canonical keys go through the orbit minimization); under
      [~paranoid] it is carried for cross-validation while the claim keys
@@ -749,10 +576,10 @@ let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
       Some (Fingerprint.hom_of_config config)
     else None
   in
-  (* The auto-sequential fallback threshold, resolved before the tables
-     because it also sizes them: when it is active and no
+  (* The auto-sequential fallback threshold, resolved before the table
+     because it also sizes it: when it is active and no
      [?expected_states] hint says otherwise, the space is presumed small
-     until the seeder proves it big, so each table starts tiny (a
+     until the seeder proves it big, so the table starts tiny (a
      right-sized allocation costs more than the whole search on the
      small spaces the fallback exists for — segment-chained growth
      amortizes the big-space case). *)
@@ -764,47 +591,44 @@ let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
       | Some n -> max 0 n
       | None -> default_seq_threshold)
   in
-  let shards () =
-    let slots = if threshold > 0 then 64 else 1024 in
-    Shards
-      (Array.init (shards_per_part n_parts) (fun _ ->
-           { lock = Mutex.create (); tbl = Fingerprint.Ktbl.create slots }))
-  in
   (* The same precedence as [table_name]. *)
-  let make_table pid =
-    if paranoid then shards ()
+  let table =
+    if paranoid then
+      let slots = if threshold > 0 then 64 else 1024 in
+      Shards
+        (Array.init n_shards (fun _ ->
+             { lock = Mutex.create (); tbl = Fingerprint.Ktbl.create slots }))
     else
       match spill with
-      | Some dir ->
-        Spill
-          (Spill_table.create
-             ?expected_states:
-               (Option.map (fun n -> max 64 (n / n_parts)) expected_states)
-             ~dir ~part:pid ())
+      | Some dir -> Spill (Spill_table.create ?expected_states ~dir ())
       | None ->
         Claims
           (match expected_states with
-          | Some n ->
-            Claim_table.create ~expected_states:(max 64 (n / n_parts))
-              `Two_lane
+          | Some n -> Claim_table.create ~expected_states:(max 64 n) `Two_lane
           | None ->
             Claim_table.create
-              ~initial_capacity:
-                (if threshold > 0 then 256 else max 256 (8192 / n_parts))
+              ~initial_capacity:(if threshold > 0 then 256 else 8192)
               `Two_lane)
+  in
+  let rkey, rpi, rsleep =
+    Explore.claim_key ~paranoid ~max_crashes reduction ~carried:root_fp config
+      ~sleep:[]
+  in
+  let root =
+    {
+      delta = Config.Delta.root config;
+      fp = root_fp;
+      ckey = rkey;
+      pi = rpi;
+      rsleep;
+      rev_trace = [];
+      depth = 0;
+    }
   in
   let g =
     {
-      parts =
-        Array.init n_parts (fun pid ->
-            {
-              table = make_table pid;
-              deques = [||] (* placed after the root exists, for ~dummy *);
-              inbox =
-                { m = Mutex.create (); batches = []; n_items = Atomic.make 0 };
-            });
-      n_parts;
-      batch_size = max 1 batch_size;
+      table;
+      deques = Array.init n_workers (fun _ -> Ws_deque.create ~dummy:root ());
       spill;
       stop = Atomic.make None;
       finished = Atomic.make false;
@@ -826,42 +650,14 @@ let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
       on_visit;
     }
   in
-  let rkey, rpi, rsleep =
-    Explore.claim_key ~paranoid ~max_crashes reduction ~carried:root_fp config
-      ~sleep:[]
-  in
-  let root =
-    {
-      delta = Config.Delta.root config;
-      fp = root_fp;
-      ckey = rkey;
-      owner = route rkey n_parts;
-      pi = rpi;
-      rsleep;
-      rev_trace = [];
-      depth = 0;
-    }
-  in
-  let parts =
-    Array.map
-      (fun p ->
-        {
-          p with
-          deques =
-            Array.init jobs_per_part (fun _ -> Ws_deque.create ~dummy:root ());
-        })
-      g.parts
-  in
-  let g = { g with parts } in
   let t0 = Unix.gettimeofday () in
   let queue = Queue.create () in
   Queue.push root queue;
-  (* Seed: bounded BFS on the main domain, claiming into each item's
-     owner table through the same [process] path the workers use
-     (single-threaded, so no batching is needed yet), until the frontier
-     is wide enough for every worker {e and} the sequential-fallback
-     threshold is crossed — spaces smaller than the threshold finish
-     right here and never pay a domain spawn.  [?seed_target] shrinks
+  (* Seed: bounded BFS on the main domain, claiming through the same
+     [process] path the workers use, until the frontier is wide enough
+     for every worker {e and} the sequential-fallback threshold is
+     crossed — spaces smaller than the threshold finish right here and
+     never pay a domain spawn.  [?seed_target] shrinks
      (or widens) the seeded frontier; the stress tests set it to 1 so
      nearly all distribution happens through steals of freshly pushed
      work. *)
@@ -873,20 +669,14 @@ let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
   let seed_ctx =
     {
       g;
-      pid = 0;
       wid = 0;
+      out = Seed queue;
       stats = seed_stats;
       commute = Explore.commute_cache ();
-      bufs = [||];
       rng = 0x9E3779B9;
       tick = 0;
-      route_push = (fun _ _ -> assert false);
     }
   in
-  seed_ctx.route_push <-
-    (fun _ w ->
-      Atomic.incr g.in_flight;
-      Queue.push w queue);
   (try
      while
        (not (Queue.is_empty queue))
@@ -906,41 +696,29 @@ let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
   if Queue.length queue > Atomic.get g.frontier_peak then
     Atomic.set g.frontier_peak (Queue.length queue);
   if (not (Queue.is_empty queue)) && Atomic.get g.stop = None then begin
-    (* Hand the remaining frontier to its owners — each item goes to its
-       owner partition, round-robin across that partition's workers;
-       spawn publishes the deque contents. *)
-    let rr = Array.make n_parts 0 in
+    (* Hand the remaining frontier to the workers round-robin; spawn
+       publishes the deque contents. *)
+    let rr = ref 0 in
     Queue.iter
       (fun w ->
-        let p = w.owner in
-        Ws_deque.push g.parts.(p).deques.(rr.(p) mod jobs_per_part) w;
-        rr.(p) <- rr.(p) + 1)
+        Ws_deque.push g.deques.(!rr mod n_workers) w;
+        incr rr)
       queue;
     let domains =
       Array.init n_workers (fun i ->
           Domain.spawn (fun () ->
               let w0 = Unix.gettimeofday () in
-              let pid = i / jobs_per_part and wid = i mod jobs_per_part in
               let ctx =
                 {
                   g;
-                  pid;
-                  wid;
+                  wid = i;
+                  out = Own g.deques.(i);
                   stats = dstats.(i);
                   commute = Explore.commute_cache ();
-                  bufs = fresh_buffers n_parts;
                   rng = 0x9E3779B9 * (i + 1);
                   tick = 0;
-                  route_push = (fun _ _ -> assert false);
                 }
               in
-              ctx.route_push <-
-                (fun owner w ->
-                  if owner = pid then begin
-                    Atomic.incr g.in_flight;
-                    Ws_deque.push g.parts.(pid).deques.(wid) w
-                  end
-                  else buffer_add ctx owner w);
               worker ctx;
               Explore.flush_commute_metrics ctx.commute;
               dstats.(i).seconds <- Unix.gettimeofday () -. w0))
@@ -965,16 +743,16 @@ let run ?(max_states = 5_000_000) ?(max_depth = 10_000)
 
 let iter_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
     ?deadline ?expected_states ?reduction ?paranoid ?seed_target
-    ?seq_threshold ?batch_size ?spill ?partitions ~jobs config ~f =
+    ?seq_threshold ?spill ~jobs config ~f =
   run ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
     ?expected_states ?reduction ?paranoid ?seed_target ?seq_threshold
-    ?batch_size ?spill ?partitions ~jobs ~on_terminal:f
+    ?spill ~jobs ~on_terminal:f
     ~on_visit:(fun _ _ -> ())
     "iter_terminals" config
 
 let iter_reachable ?max_states ?max_depth ?max_crashes ?max_recoveries
     ?deadline ?expected_states ?reduction ?paranoid ?seed_target
-    ?seq_threshold ?batch_size ?spill ?partitions ~jobs config ~f =
+    ?seq_threshold ?spill ~jobs config ~f =
   (* Source sets are stripped exactly as in {!Explore.iter_reachable}:
      reachability consumers quantify over every configuration. *)
   let reduction =
@@ -982,13 +760,13 @@ let iter_reachable ?max_states ?max_depth ?max_crashes ?max_recoveries
   in
   run ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
     ?expected_states ?reduction ?paranoid ?seed_target ?seq_threshold
-    ?batch_size ?spill ?partitions ~jobs
+    ?spill ~jobs
     ~on_terminal:(fun _ _ -> ())
     ~on_visit:f "iter_reachable" config
 
 let find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
     ?deadline ?expected_states ?reduction ?paranoid ?seed_target
-    ?seq_threshold ?batch_size ?spill ?partitions ~jobs config ~violates =
+    ?seq_threshold ?spill ~jobs config ~violates =
   let found = ref None in
   (* [on_terminal] runs under the callback lock, so the first writer
      wins and the witness is stable once set. *)
@@ -1001,7 +779,7 @@ let find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
   let stats =
     run ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
       ?expected_states ?reduction ?paranoid ?seed_target ?seq_threshold
-      ?batch_size ?spill ?partitions ~jobs ~on_terminal
+      ?spill ~jobs ~on_terminal
       ~on_visit:(fun _ _ -> ())
       "find_terminal" config
   in

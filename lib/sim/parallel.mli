@@ -1,22 +1,16 @@
 (** Multicore state-space exploration: the one parallel engine.
 
-    Runs the same transition relation as {!Explore} across [jobs]
-    domains.  Every search node is {e owned} by one of [?partitions]
-    partitions (default [1]), chosen by a pure hash of its claim key —
-    with reductions off, literally its fingerprint lane.  Each partition
-    owns a private visited table and [jobs / partitions] worker domains
-    (at least one) with per-worker Chase–Lev work-stealing deques
-    ({!Ws_deque}).  A bounded breadth-first pass on the calling domain
-    seeds a frontier of roughly [4 * jobs] work items ([?seed_target]
-    overrides), handed to each item's owner partition round-robin across
-    its workers.  Each worker runs depth-first search over its own
-    deque; an empty worker steals from a random sibling's top with a
-    lock-free CAS.  Stealing stays within a partition; work crosses
-    partitions only as batches.  At one partition every successor stays
-    with its producer and the batch path is idle.
+    Runs the same transition relation as {!Explore} across [jobs] worker
+    domains that share one visited table.  A bounded breadth-first pass
+    on the calling domain seeds a frontier of roughly [4 * jobs] work
+    items ([?seed_target] overrides), handed to the workers round-robin.
+    Each worker owns a Chase–Lev work-stealing deque ({!Ws_deque}) and
+    runs depth-first search over it, pushing every successor onto its
+    own deque; an empty worker steals from a random sibling's top with a
+    lock-free CAS.
 
-    {b Visited tables: one per key kind.}  Deduplication is claim-once
-    through a per-partition table picked by the keys the search claims
+    {b Visited table: one per key kind.}  Deduplication is claim-once
+    through a table picked by the keys the search claims
     ({!table_name}):
 
     - fingerprint keys (the default): an open-addressed claim table of
@@ -25,40 +19,29 @@
       rehash stall ({!Claim_table});
     - exact keys ([~paranoid]): mutex-sharded hashtables, the only table
       that can hold full canonical keys (collisions impossible);
-    - [?spill]: a directory under which each partition maps its visited
-      set as a file of 62-bit compressed claim words ({!Spill_table}) —
-      heap residency drops to bookkeeping ([parallel.visited_bytes]
-      gauge) while the mapped bytes ([parallel.spill_bytes]) are
-      file-backed and evictable.  The birthday collision bound over the
-      62-bit words is surfaced in [stats.collision_bound].  [~paranoid]
-      overrides [?spill] (exact keys cannot be compressed).
+    - [?spill]: a directory under which the search maps its visited set
+      as files of 62-bit compressed claim words ({!Spill_table}) — heap
+      residency drops to bookkeeping ([parallel.visited_bytes] gauge)
+      while the mapped bytes ([parallel.spill_bytes]) are file-backed
+      and evictable.  The birthday collision bound over the 62-bit words
+      is surfaced in [stats.collision_bound].  [~paranoid] overrides
+      [?spill] (exact keys cannot be compressed).
 
     A search node is claimed exactly once whichever table is active, so
     every node is expanded at most once and the explored graph is exactly
     the sequential one.
 
-    {b Batched exchange.}  A successor owned by another partition is
-    accumulated into a per-worker, per-destination buffer of
-    delta-encoded items ({!Config.Delta}, materialized at the owner only
-    if its claim wins) and flushed into the destination's inbox at
-    [?batch_size] items (default [64]) or whenever the sending worker
-    goes idle — so no partition can be starved by a half-full buffer.
-    Pending batch items are deduplicated by their folded 62-bit key
-    before sending; a dropped item is counted as the [dedup_hits] it
-    would have become, so counts are unchanged.
-
     {b Termination.}  A single global credit counter counts every live
-    work item (deques, buffers, inboxes, the seed queue), incremented
-    before an item becomes reachable and decremented only after its
-    expansion completes.  Reading [0] proves exhaustion.
+    work item (deques and the seed queue), incremented before an item
+    becomes reachable and decremented only after its expansion
+    completes.  Reading [0] proves exhaustion.
 
     {b Fault budgets.}  [?max_crashes] and [?max_recoveries] mirror the
     sequential explorer exactly — budget exactness holds at any [jobs]
     because recover successors are pushed by whichever worker claims the
     state, and the recovery count is part of the fingerprint.  A state
     budget ([?max_states]) truncates to exactly [max_states] states at
-    any [jobs] and [partitions]: claim first, ticket second on one
-    shared state counter.
+    any [jobs]: claim first, ticket second on one shared state counter.
 
     {b Deadline.}  [?deadline] (seconds of wall clock) stops the search
     through the first-cause stop protocol; the merged stats then read
@@ -70,35 +53,34 @@
     algorithm in this repository) the merged [states], [transitions],
     [terminals], [hung_terminals], [crashed_terminals],
     [recovered_terminals], [dedup_hits] and [source_skips] equal the
-    sequential explorer's — at any [jobs] x [partitions], with or
-    without [?spill] or [~paranoid]: the partition tables partition the
-    claim-key space by a pure function of the key, claim-once yields
-    the same claimed-node set however the race for claims resolves, and
-    each claimed node contributes an expansion that is a pure function
-    of the node.  [max_depth] and the particular witness traces are
-    racy; checkers built on this module return deterministic
-    {e verdicts} with possibly different (equally valid) witnesses.
-    [cycles] is always [0] here: back-edges count as [dedup_hits] (use
-    the sequential {!Explore.find_cycle} for non-termination hunting).
+    sequential explorer's — at any [jobs], with or without [?spill] or
+    [~paranoid]: claim-once yields the same claimed-node set however the
+    race for claims resolves, and each claimed node contributes an
+    expansion that is a pure function of the node.  [max_depth] and the
+    particular witness traces are racy; checkers built on this module
+    return deterministic {e verdicts} with possibly different (equally
+    valid) witnesses.  [cycles] is always [0] here: back-edges count as
+    [dedup_hits] (use the sequential {!Explore.find_cycle} for
+    non-termination hunting).
 
-    {b Reductions.}  Both reductions compose with work stealing and
-    partitioning.  Symmetry quotienting canonicalizes before the claim,
-    so an orbit's members race for a single slot.  Source sets ride
-    inside the work items: each item carries the sleep set computed at
-    its parent, the claim key is the (canonical configuration, canonical
-    relevant sleep) pair ({!Explore.claim_key}), and expansion calls
-    the same {!Explore.source_successors} as the sequential explorer — a
-    pure function of the claimed pair under the canonical sibling order.
-    A stolen or batched subtree therefore prunes {e identically} to the
-    subtree its producer would have explored, and [source_skips] is
-    deterministic.  See DESIGN.md, "Parallel exploration".
+    {b Reductions.}  Both reductions compose with work stealing.
+    Symmetry quotienting canonicalizes before the claim, so an orbit's
+    members race for a single slot.  Source sets ride inside the work
+    items: each item carries the sleep set computed at its parent, the
+    claim key is the (canonical configuration, canonical relevant sleep)
+    pair ({!Explore.claim_key}), and expansion calls the same
+    {!Explore.source_successors} as the sequential explorer — a pure
+    function of the claimed pair under the canonical sibling order.  A
+    stolen subtree therefore prunes {e identically} to the subtree its
+    producer would have explored, and [source_skips] is deterministic.
+    See DESIGN.md, "Parallel exploration".
 
     {b Metrics.}  Every search adds to the [parallel.*] counters
     ([searches], [states], [steals], [probes], [cas_retries],
-    [shard_contention], [source_skips], [batches_sent], [batch_bytes],
-    [spill_bytes], [spill_probes]) and the shared [fp.*] counters, and
-    sets the [parallel.states_per_sec] and [parallel.visited_bytes]
-    gauges; with a sink installed it emits one ["parallel"] event.
+    [shard_contention], [source_skips], [spill_bytes], [spill_probes])
+    and the shared [fp.*] counters, and sets the
+    [parallel.states_per_sec] and [parallel.visited_bytes] gauges; with
+    a sink installed it emits one ["parallel"] event.
 
     {b Callbacks.}  [f] in {!iter_terminals} is serialized under a lock
     (terminals are sparse); [f] in {!iter_reachable} is called
@@ -143,9 +125,7 @@ val iter_terminals :
   ?paranoid:bool ->
   ?seed_target:int ->
   ?seq_threshold:int ->
-  ?batch_size:int ->
   ?spill:string ->
-  ?partitions:int ->
   jobs:int ->
   Config.t ->
   f:(Config.t -> Trace.t -> unit) ->
@@ -168,9 +148,7 @@ val iter_reachable :
   ?paranoid:bool ->
   ?seed_target:int ->
   ?seq_threshold:int ->
-  ?batch_size:int ->
   ?spill:string ->
-  ?partitions:int ->
   jobs:int ->
   Config.t ->
   f:(Config.t -> Trace.t Lazy.t -> unit) ->
@@ -191,9 +169,7 @@ val find_terminal :
   ?paranoid:bool ->
   ?seed_target:int ->
   ?seq_threshold:int ->
-  ?batch_size:int ->
   ?spill:string ->
-  ?partitions:int ->
   jobs:int ->
   Config.t ->
   violates:(Config.t -> bool) ->

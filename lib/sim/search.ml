@@ -2,7 +2,7 @@
    sprawl that every explorer and checker entry point used to duplicate.
    The two engines ({!Explore}, {!Parallel}) keep their low-level
    labelled interfaces; this module is the front door that dispatches
-   between them on [jobs] / [partitions] / [spill]. *)
+   between them on [jobs] / [spill]. *)
 
 type options = {
   max_states : int;
@@ -14,7 +14,6 @@ type options = {
   reduction : Explore.reduction;
   paranoid : bool;
   jobs : int;
-  partitions : int;
   spill : string option;
   seq_threshold : int option;
 }
@@ -30,7 +29,6 @@ let default =
     reduction = Explore.no_reduction;
     paranoid = false;
     jobs = 1;
-    partitions = 1;
     spill = None;
     seq_threshold = None;
   }
@@ -48,31 +46,27 @@ let with_independence i o =
 
 let with_paranoid b o = { o with paranoid = b }
 let with_jobs n o = { o with jobs = max 1 n }
-let with_partitions n o = { o with partitions = max 1 n }
 let with_spill dir o = { o with spill = Some dir }
 let with_seq_threshold n o = { o with seq_threshold = Some (max 0 n) }
 
 let pp ppf o =
   Format.fprintf ppf
-    "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s jobs=%d%s%s \
+    "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s jobs=%d%s \
      paranoid=%b %a"
     o.max_states o.max_depth o.max_crashes o.max_recoveries
     (match o.deadline with
     | None -> ""
     | Some s -> Printf.sprintf " deadline=%.3gs" s)
     o.jobs
-    (if o.partitions > 1 then Printf.sprintf " partitions=%d" o.partitions
-     else "")
     (match o.spill with
     | None -> ""
     | Some dir -> Printf.sprintf " spill=%s" dir)
     o.paranoid Explore.pp_reduction o.reduction
 
 (* Two engines: the sequential reference explorer, and the parallel one
-   whenever more than one domain, more than one partition or spilling is
-   asked for (even at [jobs = 1], a partitioned or spilled search gets
-   its per-partition tables and out-of-core representation). *)
-let sequential o = o.jobs <= 1 && o.partitions <= 1 && o.spill = None
+   whenever more than one domain or spilling is asked for (even at
+   [jobs = 1], a spilled search gets its out-of-core table). *)
+let sequential o = o.jobs <= 1 && o.spill = None
 
 let iter_terminals ?(options = default) config ~f =
   let o = options in
@@ -87,7 +81,7 @@ let iter_terminals ?(options = default) config ~f =
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
       ~paranoid:o.paranoid ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
+      ?spill:o.spill ~jobs:o.jobs config ~f
 
 let iter_reachable ?(options = default) config ~f =
   let o = options in
@@ -102,7 +96,7 @@ let iter_reachable ?(options = default) config ~f =
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
       ~paranoid:o.paranoid ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
+      ?spill:o.spill ~jobs:o.jobs config ~f
 
 let find_terminal ?(options = default) config ~violates =
   let o = options in
@@ -117,7 +111,7 @@ let find_terminal ?(options = default) config ~violates =
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
       ~paranoid:o.paranoid ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~violates
+      ?spill:o.spill ~jobs:o.jobs config ~violates
 
 let check_terminals ?(options = default) config ~ok =
   match find_terminal ~options config ~violates:(fun c -> not (ok c)) with

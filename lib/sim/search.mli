@@ -17,11 +17,10 @@
     ]}
 
     The entry points here pick one of two engines: the sequential
-    {!Explore} when [jobs <= 1], [partitions <= 1] and [spill = None],
-    otherwise the work-stealing, partitioned {!Parallel} engine.  On
-    either path the observable counts and verdicts agree (see the
-    determinism notes in {!Parallel}); [--reduction full] runs at full
-    strength on both.  Both engines key their visited sets through the
+    {!Explore} when [jobs <= 1] and [spill = None], otherwise the
+    work-stealing {!Parallel} engine.  On either path the observable
+    counts and verdicts agree (see the determinism notes in
+    {!Parallel}); [--reduction full] runs at full strength on both.  Both engines key their visited sets through the
     one claim-key policy {!Explore.claim_key}. *)
 
 type options = {
@@ -34,13 +33,9 @@ type options = {
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
   paranoid : bool;  (** exact canonical keys, no fingerprints *)
   jobs : int;  (** worker domains; [<= 1] means sequential *)
-  partitions : int;
-      (** state-ownership partitions of the {!Parallel} engine, each with
-          its own visited table, exchanging frontier items in batches;
-          [> 1] selects {!Parallel} even at [jobs = 1] (default [1]) *)
   spill : string option;
-      (** out-of-core mode: directory under which each partition mmaps
-          its visited set as 62-bit compressed claim words
+      (** out-of-core mode: directory under which the search mmaps its
+          visited set as 62-bit compressed claim words
           ({!Spill_table}); selects {!Parallel} even at [jobs = 1] *)
   seq_threshold : int option;
       (** auto-sequential fallback: state count the seeding pass reaches
@@ -71,11 +66,8 @@ val with_paranoid : bool -> options -> options
 val with_jobs : int -> options -> options
 (** Clamped to at least [1]. *)
 
-val with_partitions : int -> options -> options
-(** Clamped to at least [1]; [> 1] dispatches to {!Parallel}. *)
-
 val with_spill : string -> options -> options
-(** Spill directory for the out-of-core visited tables; dispatches to
+(** Spill directory for the out-of-core visited table; dispatches to
     {!Parallel}. *)
 
 val with_seq_threshold : int -> options -> options
@@ -87,7 +79,7 @@ val pp : Format.formatter -> options -> unit
 (** {1 Entry points}
 
     Thin dispatchers over {!Explore} (sequential) and {!Parallel}
-    (work-stealing, partitioned); see those modules for callback and
+    (work-stealing); see those modules for callback and
     determinism contracts. *)
 
 val iter_terminals :
@@ -117,4 +109,4 @@ val find_cycle :
   ?options:options -> Config.t -> Trace.t option * Explore.stats
 (** Always sequential — cycle detection needs the DFS stack discipline —
     but honors every other field of [options] (the parallel knobs [jobs],
-    [partitions], [spill] and [seq_threshold] are ignored). *)
+    [spill] and [seq_threshold] are ignored). *)

@@ -1,9 +1,14 @@
 (* Out-of-core visited table: an open-addressed set of 62-bit folded
-   fingerprint words stored in mmap'd files, so a partition's visited set
-   is bounded by disk, not by the OCaml heap.
+   fingerprint words stored in mmap'd files, so a search's visited set is
+   bounded by disk, not by the OCaml heap.
 
    Each segment is one [Bigarray.Array1] of native ints mapped shared
-   from a freshly created file under the spill directory.  The file is
+   from a freshly created file under the spill directory.  Every segment
+   file gets a name no other table uses (process id plus a process-wide
+   counter) and is created with [O_EXCL], retrying on a name some other
+   process already holds: two searches spilling into one directory can
+   then never open the same file, so neither can truncate the other's
+   mapping (SIGBUS) or claim in the other's table.  The file is
    unlinked immediately after mapping: the mapping keeps the inode alive,
    the directory stays clean whatever happens to the process, and the
    kernel reclaims the blocks when the table is garbage collected (or the
@@ -24,11 +29,10 @@
    lock-free subtlety: when the head segment crosses 3/4 occupancy a
    doubled segment is mapped and prepended; older segments serve
    read-only probes forever and nothing is rehashed.  Unlike
-   {!Claim_table} there is no CAS protocol: a spill table belongs to one
-   partition and is serialized by [lock] — out-of-core mode trades
-   claim-path parallelism within a partition for bounded memory, and
-   cross-partition parallelism is unaffected (each partition owns a
-   private table). *)
+   {!Claim_table} there is no CAS protocol: a search has one spill table,
+   serialized by [lock] — out-of-core mode trades claim-path parallelism
+   for bounded memory (workers still expand states in parallel; only the
+   claims take turns). *)
 
 type segment = {
   mask : int;
@@ -41,20 +45,28 @@ type t = {
   lock : Mutex.t;
   mutable segments : segment list; (* head = newest = claim target *)
   dir : string;
-  part : int;
-  mutable n_segs : int; (* names the next segment file *)
 }
 
 let empty = 0
 
+(* Names the next segment file of this process, whichever table asks. *)
+let next_seg = Atomic.make 0
+
+(* Create a segment file under [dir] that did not exist before. *)
+let rec create_file dir =
+  let path =
+    Filename.concat dir
+      (Printf.sprintf "seg-%d-%d.spill" (Unix.getpid ())
+         (Atomic.fetch_and_add next_seg 1))
+  in
+  match Unix.openfile path [ O_RDWR; O_CREAT; O_EXCL ] 0o600 with
+  | fd -> (path, fd)
+  | exception Unix.Unix_error (EEXIST, _, _) -> create_file dir
+
 (* Map a fresh all-zero segment of [cap] slots from an unlinked file in
    [t.dir].  The fd is closed right away — the mapping survives it. *)
 let map_segment t cap =
-  let path =
-    Filename.concat t.dir (Printf.sprintf "part%d.seg%d.spill" t.part t.n_segs)
-  in
-  t.n_segs <- t.n_segs + 1;
-  let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC ] 0o600 in
+  let path, fd = create_file t.dir in
   let arr =
     Fun.protect
       ~finally:(fun () ->
@@ -66,7 +78,7 @@ let map_segment t cap =
   in
   { mask = cap - 1; arr; count = 0; limit = cap - (cap / 4) }
 
-let create ?initial_capacity ?expected_states ~dir ~part () =
+let create ?initial_capacity ?expected_states ~dir () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let initial_capacity =
     match (initial_capacity, expected_states) with
@@ -78,7 +90,7 @@ let create ?initial_capacity ?expected_states ~dir ~part () =
     let rec up c = if c >= initial_capacity then c else up (c * 2) in
     up 64
   in
-  let t = { lock = Mutex.create (); segments = []; dir; part; n_segs = 0 } in
+  let t = { lock = Mutex.create (); segments = []; dir } in
   t.segments <- [ map_segment t cap ];
   t
 
@@ -99,8 +111,8 @@ let probe (seg : segment) st w =
   go (w land seg.mask) cap
 
 (* [Mutex.protect]: a segment that fails to map (the spill directory
-   vanished, the disk filled) raises out of the claim, and the partition's
-   sibling workers must see that error, not block forever on a lock the
+   vanished, the disk filled) raises out of the claim, and the other
+   workers must see that error, not block forever on a lock the
    raiser still holds. *)
 let claim_word t st w =
   Mutex.protect t.lock @@ fun () ->

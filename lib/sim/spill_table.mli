@@ -1,26 +1,26 @@
 (** Out-of-core visited table: 62-bit folded fingerprint words in mmap'd
     files.
 
-    The spill mode of the parallel explorer ({!Parallel}): each
-    partition can keep its claim-once visited set in file-backed mapped
-    memory instead of the OCaml heap, bounding exploration by disk
-    rather than RAM.  Keys are compressed to one 62-bit word
-    ([Claim_table.encode (Claim_table.fold_key h1 h2)], the same fold
-    the partition router uses), so distinct fingerprints collide at
-    ~2^-62 per pair; the caller surfaces the birthday bound through its
-    [collision_bound].
+    The spill mode of the parallel explorer ({!Parallel}): a search can
+    keep its claim-once visited set in file-backed mapped memory instead
+    of the OCaml heap, bounding exploration by disk rather than RAM.
+    Keys are compressed to one 62-bit word
+    ([Claim_table.encode (Claim_table.fold_key h1 h2)]), so distinct
+    fingerprints collide at ~2^-62 per pair; the caller surfaces the
+    birthday bound through its [collision_bound].
 
-    Segment files are created under the spill directory and unlinked
-    immediately after mapping, so the directory stays clean even if the
-    process dies; the kernel reclaims the blocks when the table is
-    collected.  Growth maps a doubled segment and chains it (read-only
+    Segment files are created under the spill directory, each under a
+    name no other table uses and with [O_EXCL] (never opening a file
+    that already exists, so searches sharing a directory cannot touch
+    each other's segments), and unlinked immediately after mapping, so
+    the directory stays clean even if the process dies; the kernel
+    reclaims the blocks when the table is collected.  Growth maps a doubled segment and chains it (read-only
     probes of older segments, claims in the head) — no rehash, no
     stop-the-world.
 
-    A spill table is owned by one partition and serialized by an
-    internal mutex: claims are safe from that partition's worker
-    domains, and the out-of-core trade is claim-path serialization
-    within a partition for a near-zero heap footprint ({!memory_bytes}
+    A search has one spill table, serialized by an internal mutex:
+    claims are safe from any worker domain, and the out-of-core trade is
+    claim-path serialization for a near-zero heap footprint ({!memory_bytes}
     counts only bookkeeping; the mapped bytes are {!spill_bytes} and
     evictable). *)
 
@@ -30,10 +30,9 @@ val create :
   ?initial_capacity:int ->
   ?expected_states:int ->
   dir:string ->
-  part:int ->
   unit ->
   t
-(** Create the partition's spill table under [dir] (created if absent).
+(** Create a spill table under [dir] (created if absent).
     [initial_capacity] (rounded up to a power of two, minimum 64) wins
     over the [expected_states] sizing hint; the default first segment
     holds 2^16 slots (512 KiB of file). *)

@@ -69,18 +69,22 @@ let json_tests =
           "{\"event\":\"e\\\"v\",\"k\\n\":\"v\\\\\"}" (Sink.json_of_event ev));
   ]
 
-(* A partitioned run reports the claim-table probes and source skips
-   under the one [parallel.*] namespace, like a single-partition run. *)
-let partitioned_metrics () =
+(* A parallel run reports the claim-table probes and source skips under
+   the [parallel.*] namespace.  [with_seq_threshold 0] hands the space to
+   the worker domains after a short seeding pass, so their claims are
+   what the counters see. *)
+let alg5_k3 () =
   let open Subc_sim in
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
-  let config =
-    Config.make store
-      (List.init 3 (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))))
-  in
+  Config.make store
+    (List.init 3 (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))))
+
+let parallel_metrics () =
+  let open Subc_sim in
+  let config = alg5_k3 () in
   let options =
     Search.(
-      default |> with_max_crashes 1 |> with_partitions 2 |> with_jobs 2
+      default |> with_max_crashes 1 |> with_jobs 2 |> with_seq_threshold 0
       |> with_reduction Explore.source_only)
   in
   let value name = Metrics.value (Metrics.counter name) in
@@ -93,6 +97,62 @@ let partitioned_metrics () =
   Alcotest.(check int)
     "parallel.source_skips = stats.source_skips" stats.Explore.source_skips
     (value "parallel.source_skips" - skips0)
+
+(* The one "parallel" event of a search names the visited table it
+   built — exact keys win over a spill directory — and carries the
+   worker count and the search's states. *)
+let parallel_event_table () =
+  let open Subc_sim in
+  let config = alg5_k3 () in
+  List.iter
+    (fun (expected, paranoid, spill) ->
+      with_memory_sink (fun events ->
+          let stats =
+            Parallel.iter_terminals ~max_crashes:1 ~paranoid ?spill
+              ~seq_threshold:0 ~jobs:2 config
+              ~f:(fun _ _ -> ())
+          in
+          match List.filter (fun e -> e.Sink.name = "parallel") (events ()) with
+          | [ e ] ->
+            let field name = List.assoc_opt name e.Sink.fields in
+            Alcotest.(check bool)
+              (expected ^ ": visited") true
+              (field "visited" = Some (Sink.Str expected));
+            Alcotest.(check bool)
+              (expected ^ ": jobs") true
+              (field "jobs" = Some (Sink.Int 2));
+            Alcotest.(check bool)
+              (expected ^ ": states") true
+              (field "states" = Some (Sink.Int stats.Explore.states))
+          | evs ->
+            Alcotest.failf "%s: %d parallel events, expected 1" expected
+              (List.length evs)))
+    [
+      ("lockfree", false, None);
+      ("spill", false, Some "obs-spill.tmp");
+      ("sharded", true, None);
+      ("sharded", true, Some "obs-spill.tmp");
+    ]
+
+(* Search picks its engine from [jobs] and [spill] alone: one worker and
+   no spill directory run the sequential explorer (no parallel search is
+   counted, even at seq_threshold 0); a spill directory selects the
+   parallel engine even at one worker, as do two workers. *)
+let search_dispatch () =
+  let open Subc_sim in
+  let config = alg5_k3 () in
+  let base = Search.(default |> with_max_crashes 1 |> with_seq_threshold 0) in
+  let searches () = Metrics.value (Metrics.counter "parallel.searches") in
+  List.iter
+    (fun (label, options, expected) ->
+      let before = searches () in
+      ignore (Search.iter_terminals ~options config ~f:(fun _ _ -> ()));
+      Alcotest.(check int) label expected (searches () - before))
+    [
+      ("jobs 1: sequential", base, 0);
+      ("jobs 1 + spill: parallel", Search.with_spill "obs-dispatch.tmp" base, 1);
+      ("jobs 2: parallel", Search.with_jobs 2 base, 1);
+    ]
 
 let metrics_tests =
   [
@@ -126,8 +186,9 @@ let metrics_tests =
         Alcotest.(check int) "counter zeroed" 0 (Metrics.value c);
         Alcotest.(check (option (float 0.0))) "gauge dropped" None
           (Metrics.find "obs.test.g3"));
-    test "partitioned runs report probes and source skips"
-      partitioned_metrics;
+    test "parallel runs report probes and source skips" parallel_metrics;
+    test "parallel event names the visited table" parallel_event_table;
+    test "Search dispatches on jobs and spill" search_dispatch;
   ]
 
 let span_tests =

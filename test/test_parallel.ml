@@ -2,13 +2,25 @@
    fingerprint layer.
 
    Determinism contract (see Parallel's interface): for every algorithm
-   family and crash budget, the parallel search must agree with the
-   sequential explorer on [states], [transitions], [terminals],
-   [hung_terminals] and [crashed_terminals], and every Verdict-typed
-   checker must return the same status at [--jobs 1] and [--jobs N].
-   Fingerprint regression: the allocation-lean 126-bit hash must be
-   injective over every reachable set we explore, and a [~paranoid]
-   (exact-key) search must produce identical statistics. *)
+   family, crash/recovery budget and reduction, the parallel search must
+   agree with the sequential explorer on [states], [transitions],
+   [terminals], [hung_terminals], [crashed_terminals],
+   [recovered_terminals], [dedup_hits] and [source_skips] — over the heap
+   claim table, the mmap-spilled table and the [~paranoid] exact-key
+   table alike — and every Verdict-typed checker must return the same
+   status at [--jobs 1] and [--jobs N].  Fingerprint regression: the
+   allocation-lean 126-bit hash must be injective over every reachable
+   set we explore, and a [~paranoid] (exact-key) search must produce
+   identical statistics.
+
+   Every space in this suite is smaller than
+   [Parallel.default_seq_threshold], so the parallel calls below pass
+   [~seq_threshold:0] (or [Search.with_seq_threshold 0]): without it the
+   seeding pass would finish each search on the calling domain and no
+   worker domain would ever start.  Spaces of a few dozen states, whose
+   breadth-first frontier never reaches the [4 * jobs] items the seeding
+   pass hands out, still finish on the calling domain.  The fallback
+   itself is covered by [seeder_fallback]. *)
 open Subc_sim
 open Helpers
 module Task = Subc_tasks.Task
@@ -17,6 +29,7 @@ module Verdict = Subc_check.Verdict
 module Progress = Subc_check.Progress
 module Lin = Subc_check.Linearizability
 module Valence = Subc_check.Valence
+module R = Subc_check.Recoverable
 
 (* Worker-domain count for the parallel side of each comparison;
    overridable so CI can pin it (SUBC_TEST_JOBS=4). *)
@@ -76,6 +89,10 @@ let sc_harness ~n ~k =
   in
   (store, programs, Symmetry.standard ~n ~input_base:100 `Full)
 
+let recovery_config family ~n ~r =
+  let store, programs = R.protocol Store.empty family ~n ~max_recoveries:r in
+  Config.make store programs
+
 (* ---------------------------------------------------------------- *)
 (* Raw-stats agreement: sequential explorer vs parallel engine.      *)
 
@@ -98,6 +115,9 @@ let same_counts name (a : Explore.stats) (b : Explore.stats) =
     (name ^ " crashed")
     a.Explore.crashed_terminals b.Explore.crashed_terminals;
   Alcotest.(check int)
+    (name ^ " recovered")
+    a.Explore.recovered_terminals b.Explore.recovered_terminals;
+  Alcotest.(check int)
     (name ^ " dedup")
     a.Explore.dedup_hits b.Explore.dedup_hits;
   Alcotest.(check int)
@@ -105,42 +125,66 @@ let same_counts name (a : Explore.stats) (b : Explore.stats) =
     a.Explore.source_skips b.Explore.source_skips;
   Alcotest.(check bool) (name ^ " limited") a.Explore.limited b.Explore.limited
 
+(* The determinism matrix: every registry family x crash budget x
+   reduction, plus the crash-recovery families (the recovery count is
+   part of the claim key, so recover successors dedup identically), at
+   jobs 1 and N on worker domains. *)
 let stats_matrix () =
-  let harnesses =
+  let reductions sym =
     [
-      ("alg2", (fun () -> alg2_harness 3), [ 0; 1; 2 ]);
-      ("alg5", (fun () -> alg5_harness 3), [ 0; 1 ]);
-      ("wrn", (fun () -> wrn_harness 3), [ 0; 1 ]);
-      ("sc", (fun () -> sc_harness ~n:3 ~k:2), [ 0 ]);
+      ("none", None);
+      ("source", Some Explore.source_only);
+      ("sym", Some (Explore.with_symmetry sym));
+      ("full", Some (Explore.full_reduction sym));
     ]
   in
+  let families =
+    List.concat_map
+      (fun (name, harness, budgets) ->
+        let store, programs, sym = harness () in
+        let config = Config.make store programs in
+        List.map
+          (fun f ->
+            (Printf.sprintf "%s f=%d" name f, config, f, 0, reductions sym))
+          budgets)
+      [
+        ("alg2", (fun () -> alg2_harness 3), [ 0; 1; 2 ]);
+        ("alg5", (fun () -> alg5_harness 3), [ 0; 1 ]);
+        ("wrn", (fun () -> wrn_harness 3), [ 0; 1 ]);
+        ("sc", (fun () -> sc_harness ~n:3 ~k:2), [ 0 ]);
+      ]
+    @ List.concat_map
+        (fun family ->
+          List.map
+            (fun r ->
+              ( Printf.sprintf "%s f=1 r=%d" (R.family_name family) r,
+                recovery_config family ~n:2 ~r,
+                1,
+                r,
+                [ ("none", None); ("source", Some Explore.source_only) ] ))
+            [ 0; 1 ])
+        [ R.Test_and_set; R.Cas ]
+  in
   List.iter
-    (fun (name, harness, budgets) ->
-      let store, programs, sym = harness () in
-      let config = Config.make store programs in
+    (fun (name, config, f, r, reductions) ->
       List.iter
-        (fun f ->
+        (fun (rlabel, reduction) ->
+          let seq =
+            Explore.iter_terminals ~max_crashes:f ~max_recoveries:r ?reduction
+              config
+              ~f:(fun _ _ -> ())
+          in
           List.iter
-            (fun (rlabel, reduction) ->
-              let label = Printf.sprintf "%s f=%d %s" name f rlabel in
-              let seq =
-                Explore.iter_terminals ~max_crashes:f ?reduction config
-                  ~f:(fun _ _ -> ())
-              in
+            (fun j ->
               let par =
-                Parallel.iter_terminals ~max_crashes:f ?reduction ~jobs
-                  config
+                Parallel.iter_terminals ~max_crashes:f ~max_recoveries:r
+                  ?reduction ~seq_threshold:0 ~jobs:j config
                   ~f:(fun _ _ -> ())
               in
-              same_counts label seq par)
-            [
-              ("none", None);
-              ("source", Some Explore.source_only);
-              ("sym", Some (Explore.with_symmetry sym));
-              ("full", Some (Explore.full_reduction sym));
-            ])
-        budgets)
-    harnesses
+              same_counts (Printf.sprintf "%s %s j=%d" name rlabel j) seq par)
+            [ 1; jobs ])
+        reductions)
+    families
 
 (* Terminal callbacks fire exactly once per terminal, serialized. *)
 let terminal_callback_count () =
@@ -151,25 +195,145 @@ let terminal_callback_count () =
     Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
   in
   let par =
-    Parallel.iter_terminals ~max_crashes:1 ~jobs config ~f:(fun _ _ ->
-        incr count)
+    Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~jobs config
+      ~f:(fun _ _ -> incr count)
   in
   Alcotest.(check int) "callback count = terminals" par.Explore.terminals
     !count;
   Alcotest.(check int) "terminals agree" seq.Explore.terminals
     par.Explore.terminals
 
-(* The max-states budget truncates identically (exactly [max_states]
-   states counted, Max_states reported). *)
+(* The max-states budget truncates identically: claim first, ticket
+   second on one shared counter counts exactly [max_states] states and
+   reports Max_states, at any [jobs]. *)
 let budget_truncation () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
-  let budget = 100 in
-  let par =
-    Parallel.iter_terminals ~max_states:budget ~jobs config ~f:(fun _ _ -> ())
+  let budget = 500 in
+  List.iter
+    (fun j ->
+      let par =
+        Parallel.iter_terminals ~max_crashes:1 ~max_states:budget
+          ~seq_threshold:0 ~jobs:j config
+          ~f:(fun _ _ -> ())
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "j=%d exactly budget states" j)
+        budget par.Explore.states;
+      Alcotest.(check bool)
+        (Printf.sprintf "j=%d limited" j)
+        true par.Explore.limited)
+    [ 1; jobs ]
+
+(* Small spaces never leave the seeding pass: at the default
+   [Parallel.default_seq_threshold] the whole search completes
+   sequentially on the calling domain, with identical stats. *)
+let seeder_fallback () =
+  let store, programs, _ = alg2_harness 3 in
+  let config = Config.make store programs in
+  let seq =
+    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
   in
-  Alcotest.(check int) "exactly budget states" budget par.Explore.states;
-  Alcotest.(check bool) "limited" true par.Explore.limited
+  let par =
+    Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:4096 ~jobs config
+      ~f:(fun _ _ -> ())
+  in
+  same_counts "seeder fallback" seq par
+
+(* Parallel.Stop from a callback ends the search gracefully. *)
+let stop_from_callback () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let seq =
+    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+  in
+  let seen = Atomic.make 0 in
+  let s =
+    Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~jobs config
+      ~f:(fun _ _ ->
+        if Atomic.fetch_and_add seen 1 >= 3 then raise Parallel.Stop)
+  in
+  Alcotest.(check bool) "saw some terminals" true (s.Explore.terminals >= 1);
+  Alcotest.(check bool)
+    "stopped before exhausting the space" true
+    (s.Explore.terminals < seq.Explore.terminals)
+
+(* A quick slice of [stats_matrix] for runs that skip the slow tests. *)
+let stats_quick () =
+  let store, programs, sym = alg2_harness 3 in
+  let config = Config.make store programs in
+  List.iter
+    (fun (rlabel, reduction) ->
+      let seq =
+        Explore.iter_terminals ~max_crashes:1 ?reduction config
+          ~f:(fun _ _ -> ())
+      in
+      let par =
+        Parallel.iter_terminals ~max_crashes:1 ?reduction ~seq_threshold:0
+          ~jobs config
+          ~f:(fun _ _ -> ())
+      in
+      same_counts (Printf.sprintf "alg2 f=1 %s" rlabel) seq par)
+    [ ("none", None); ("full", Some (Explore.full_reduction sym)) ]
+
+(* The visited tables a search builds besides the lock-free default
+   (which [stats_matrix] and [budget_truncation] cover): the
+   mmap-spilled table and the exact-key sharded one. *)
+let other_tables =
+  [ ("spill", false, Some "spill-tables.tmp"); ("exact", true, None) ]
+
+(* Crash-recovery budgets on the other tables: the recovery count is part
+   of the claim key, so recover successors dedup identically there too. *)
+let recovery_tables () =
+  List.iter
+    (fun family ->
+      List.iter
+        (fun r ->
+          let config = recovery_config family ~n:2 ~r in
+          let seq =
+            Explore.iter_terminals ~max_crashes:1 ~max_recoveries:r config
+              ~f:(fun _ _ -> ())
+          in
+          List.iter
+            (fun (tlabel, paranoid, spill) ->
+              List.iter
+                (fun j ->
+                  let par =
+                    Parallel.iter_terminals ~max_crashes:1 ~max_recoveries:r
+                      ~paranoid ?spill ~seq_threshold:0 ~jobs:j config
+                      ~f:(fun _ _ -> ())
+                  in
+                  same_counts
+                    (Printf.sprintf "%s r=%d %s j=%d" (R.family_name family) r
+                       tlabel j)
+                    seq par)
+                [ 1; jobs ])
+            other_tables)
+        [ 0; 1 ])
+    [ R.Test_and_set; R.Cas ]
+
+(* The budget is claim-first, ticket-second whichever table does the
+   claiming: exactly [max_states] states on the other tables too. *)
+let budget_truncation_tables () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let budget = 500 in
+  List.iter
+    (fun (tlabel, paranoid, spill) ->
+      List.iter
+        (fun j ->
+          let s =
+            Parallel.iter_terminals ~max_crashes:1 ~max_states:budget
+              ~paranoid ?spill ~seq_threshold:0 ~jobs:j config
+              ~f:(fun _ _ -> ())
+          in
+          let label = Printf.sprintf "%s j=%d" tlabel j in
+          Alcotest.(check int)
+            (label ^ " exactly budget states")
+            budget s.Explore.states;
+          Alcotest.(check bool) (label ^ " limited") true s.Explore.limited)
+        [ 1; jobs ])
+    other_tables
 
 (* Both visited tables reproduce the sequential counts on every
    registry family: the default lock-free claim table (fingerprint keys,
@@ -197,7 +361,8 @@ let visited_modes_matrix () =
               ~f:(fun _ _ -> ())
           in
           let par =
-            Parallel.iter_terminals ~max_crashes:f ?reduction ~jobs config
+            Parallel.iter_terminals ~max_crashes:f ?reduction ~seq_threshold:0
+              ~jobs config
               ~f:(fun _ _ -> ())
           in
           same_counts (label ^ " lockfree") seq par;
@@ -207,7 +372,7 @@ let visited_modes_matrix () =
             && par.Explore.collision_bound < 1e-6);
           let exact =
             Parallel.iter_terminals ~paranoid:true ~max_crashes:f ?reduction
-              ~jobs config
+              ~seq_threshold:0 ~jobs config
               ~f:(fun _ _ -> ())
           in
           same_counts (label ^ " exact") seq exact;
@@ -255,7 +420,7 @@ let source_sets_cross_validation () =
               in
               let par =
                 Parallel.iter_terminals ~max_crashes:f ~max_recoveries:r
-                  ~reduction ~jobs config
+                  ~reduction ~seq_threshold:0 ~jobs config
                   ~f:(fun _ _ -> ())
               in
               same_counts label seq par;
@@ -319,10 +484,14 @@ let source_sets_steal_stress () =
 
 let verdict_status = Alcotest.testable Fmt.string String.equal
 
+(* [with_seq_threshold 0] puts the jobs > 1 side on worker domains; the
+   jobs = 1 side runs the sequential explorer, which ignores it. *)
 let options ~max_crashes ?(reduction = Explore.no_reduction) ~jobs () =
   Search.(
     default |> with_max_crashes max_crashes |> with_reduction reduction
-    |> with_jobs jobs)
+    |> with_jobs jobs |> with_seq_threshold 0)
+
+let par_options = Search.(default |> with_jobs jobs |> with_seq_threshold 0)
 
 let same_status name a b =
   Alcotest.check verdict_status name (Verdict.status_string a)
@@ -358,9 +527,8 @@ let task_check_agrees () =
   let store3, programs3, inputs3, task3 = alg3_harness () in
   same_status "alg3"
     (Task_check.check store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
-    (Task_check.check
-       ~options:Search.(with_jobs jobs default)
-       store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
+    (Task_check.check ~options:par_options store3 ~programs:programs3
+       ~inputs:inputs3 ~task:task3)
 
 (* A refuted instance refutes in parallel too (1-set consensus from a
    WRN_3 is impossible — some schedule decides two values). *)
@@ -369,9 +537,8 @@ let task_check_refutes () =
   let task = Task.set_consensus 1 in
   let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
   let par =
-    Task_check.check
-      ~options:Search.(with_jobs jobs default)
-      store ~programs ~inputs:(inputs 3) ~task
+    Task_check.check ~options:par_options store ~programs ~inputs:(inputs 3)
+      ~task
   in
   same_status "alg2 1-set refuted" seq par;
   Alcotest.(check bool) "refuted sequentially" false (Verdict.is_proved seq);
@@ -442,13 +609,32 @@ let consensus_verdict_agrees () =
   let config = Config.make store programs in
   let inputs = [ Value.Int 0; Value.Int 1 ] in
   let seq = Valence.consensus_verdict config ~inputs in
-  let par =
-    Valence.consensus_verdict
-      ~options:Search.(with_jobs jobs default)
-      config ~inputs
-  in
+  let par = Valence.consensus_verdict ~options:par_options config ~inputs in
   same_status "consensus object solves" seq par;
   Alcotest.(check bool) "proved" true (Verdict.is_proved par)
+
+(* Verdict-typed checkers agree through the Search dispatcher on status
+   and on every count of the statistics they carry. *)
+let verdicts_agree () =
+  let store, programs, inputs, task = alg3_harness () in
+  let seqv =
+    Task_check.check ~options:Search.default store ~programs ~inputs ~task
+  in
+  List.iter
+    (fun j ->
+      let parv =
+        Task_check.check
+          ~options:Search.(par_options |> with_jobs j)
+          store ~programs ~inputs ~task
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "alg3 status j=%d" j)
+        (Verdict.status_string seqv)
+        (Verdict.status_string parv);
+      same_counts
+        (Printf.sprintf "alg3 stats j=%d" j)
+        (explore_stats_exn seqv) (explore_stats_exn parv))
+    (List.sort_uniq compare [ 2; jobs ])
 
 (* ---------------------------------------------------------------- *)
 (* Fingerprint cross-validation.                                     *)
@@ -468,13 +654,16 @@ let paranoid_cross_validation () =
     same_counts name exact fp;
     Alcotest.(check int) (name ^ " max_depth") exact.Explore.max_depth
       fp.Explore.max_depth;
-    (* Parallel paranoid mode agrees as well. *)
-    let par =
-      Parallel.iter_terminals ~max_crashes ?reduction ~paranoid:true ~jobs
-        config
-        ~f:(fun _ _ -> ())
-    in
-    same_counts (name ^ " parallel") exact par
+    (* Parallel paranoid mode agrees as well, at jobs 1 and N. *)
+    List.iter
+      (fun j ->
+        let par =
+          Parallel.iter_terminals ~max_crashes ?reduction ~paranoid:true
+            ~seq_threshold:0 ~jobs:j config
+            ~f:(fun _ _ -> ())
+        in
+        same_counts (Printf.sprintf "%s parallel j=%d" name j) exact par)
+      [ 1; jobs ]
   in
   let store, programs, sym = alg2_harness 3 in
   let config = Config.make store programs in
@@ -486,6 +675,23 @@ let paranoid_cross_validation () =
   check_harness "alg5 f=0 none" config5 ~max_crashes:0 None;
   check_harness "alg5 f=0 sym" config5 ~max_crashes:0
     (Some (Explore.with_symmetry sym5))
+
+(* Corrupted incremental patches must be caught by the paranoid re-fold
+   on the worker domains, whichever worker claims the patched state. *)
+let paranoid_catches_mutation () =
+  let store, programs, _ = alg2_harness 3 in
+  let config = Config.make store programs in
+  Fun.protect
+    ~finally:(fun () -> Explore.set_fp_fault_injection 0)
+    (fun () ->
+      Explore.set_fp_fault_injection 5;
+      match
+        Parallel.iter_terminals ~max_crashes:1 ~paranoid:true ~seq_threshold:0
+          ~jobs config
+          ~f:(fun _ _ -> ())
+      with
+      | _ -> Alcotest.fail "corrupted patches went unnoticed"
+      | exception Invalid_argument _ -> ())
 
 (* Injectivity of the 126-bit fingerprint over an actual reachable set:
    distinct canonical keys must map to distinct fingerprints. *)
@@ -649,6 +855,189 @@ let claim_table_claim_once () =
   Alcotest.(check bool) "probes counted" true (probes > n_keys)
 
 (* ---------------------------------------------------------------- *)
+(* Out-of-core: the mmap-spilled 62-bit table.                       *)
+
+let spill_determinism () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let seq =
+    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+  in
+  List.iter
+    (fun j ->
+      let par =
+        Parallel.iter_terminals ~max_crashes:1 ~spill:"spill-run.tmp"
+          ~seq_threshold:0 ~jobs:j config
+          ~f:(fun _ _ -> ())
+      in
+      same_counts (Printf.sprintf "spill j=%d" j) seq par)
+    [ 1; jobs ]
+
+(* Spill through the Search dispatcher ([spill] alone selects the
+   parallel engine) preserves checker verdicts. *)
+let spill_search_dispatch () =
+  let store, programs, inputs, task = alg3_harness () in
+  let seqv =
+    Task_check.check ~options:Search.default store ~programs ~inputs ~task
+  in
+  let spv =
+    Task_check.check
+      ~options:Search.(par_options |> with_spill "spill-search.tmp")
+      store ~programs ~inputs ~task
+  in
+  Alcotest.(check string)
+    "spill status" (Verdict.status_string seqv) (Verdict.status_string spv);
+  same_counts "spill stats" (explore_stats_exn seqv) (explore_stats_exn spv)
+
+(* Claim-once semantics of the spill table itself, including forced
+   62-bit collisions (two distinct logical keys on one folded word) and
+   segment-chained growth past the initial capacity. *)
+let spill_claim_once () =
+  let t = Spill_table.create ~initial_capacity:64 ~dir:"spill-unit.tmp" () in
+  let ops = Claim_table.fresh_opstats () in
+  for i = 1 to 200 do
+    let h1 = (i * 0x9E37) lxor 0x55 and h2 = i * 7919 in
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d fresh" i)
+      true
+      (Spill_table.claim t ops ~h1 ~h2 = `Fresh);
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d dup" i)
+      true
+      (Spill_table.claim t ops ~h1 ~h2 = `Dup)
+  done;
+  Alcotest.(check int) "occupancy" 200 (Spill_table.occupancy t);
+  Alcotest.(check bool)
+    "grew past the initial segment" true
+    (Spill_table.segments t > 1);
+  (* Forced collision: a second logical key landing on the same folded
+     word must lose the claim — the documented ~2^-62 per-pair risk. *)
+  let w = Claim_table.encode (Claim_table.fold_key 123456789 987654321) in
+  Alcotest.(check bool)
+    "collided word fresh once" true
+    (Spill_table.claim_word t ops w = `Fresh);
+  Alcotest.(check bool)
+    "collided word dup after" true
+    (Spill_table.claim_word t ops w = `Dup);
+  Alcotest.(check bool) "probes counted" true (ops.Claim_table.probes > 0);
+  (* The mapped bytes dominate; the heap keeps only bookkeeping. *)
+  Alcotest.(check bool)
+    "spill bytes mapped" true
+    (Spill_table.spill_bytes t > 0);
+  Alcotest.(check bool)
+    "heap footprint is bookkeeping only" true
+    (Spill_table.memory_bytes t < Spill_table.spill_bytes t)
+
+(* A segment that cannot be mapped (here: the spill directory is gone)
+   raises out of the claim without keeping the table's lock, so the
+   next claim that needs the segment raises the same error instead of
+   blocking every worker. *)
+let spill_growth_error_releases_lock () =
+  let dir = "spill-vanish.tmp" in
+  let t = Spill_table.create ~initial_capacity:64 ~dir () in
+  Unix.rmdir dir;
+  let ops = Claim_table.fresh_opstats () in
+  let claim i = Spill_table.claim t ops ~h1:(i * 0x9E37) ~h2:(i * 7919) in
+  let rec until_error i =
+    if i > 64 then Alcotest.fail "segment growth never raised"
+    else
+      match claim i with
+      | `Fresh | `Dup -> until_error (i + 1)
+      | exception Unix.Unix_error _ -> i
+  in
+  let i = until_error 1 in
+  match claim (i + 1) with
+  | _ -> Alcotest.fail "claim needing the unmappable segment succeeded"
+  | exception Unix.Unix_error _ -> ()
+
+(* A table never opens a file it did not create: a file already in the
+   spill directory — here under the name older tables gave their first
+   segment — must survive a table that maps and grows its segments
+   next to it, bytes intact.  Truncating a file another search has
+   mapped kills that search with SIGBUS; sharing its inode would merge
+   the two visited sets. *)
+let spill_leaves_existing_files () =
+  let dir = "spill-shared.tmp" in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "part0.seg0.spill" in
+  let bytes = "another search's segment" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  let t = Spill_table.create ~initial_capacity:64 ~dir () in
+  let ops = Claim_table.fresh_opstats () in
+  for i = 1 to 200 do
+    ignore (Spill_table.claim t ops ~h1:(i * 0x9E37) ~h2:(i * 7919))
+  done;
+  Alcotest.(check bool) "grew" true (Spill_table.segments t > 1);
+  Alcotest.(check bool) "existing file kept" true (Sys.file_exists path);
+  Alcotest.(check string)
+    "existing bytes kept" bytes
+    (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path;
+  Alcotest.(check (array string)) "segment files unlinked" [||]
+    (Sys.readdir dir)
+
+(* Two tables open in one directory at once keep separate visited sets:
+   a key claimed in one is still fresh in the other, through the growth
+   of both. *)
+let spill_tables_independent () =
+  let dir = "spill-pair.tmp" in
+  let a = Spill_table.create ~initial_capacity:64 ~dir () in
+  let b = Spill_table.create ~initial_capacity:64 ~dir () in
+  let ops = Claim_table.fresh_opstats () in
+  let claim t i = Spill_table.claim t ops ~h1:(i * 0x9E37) ~h2:(i * 7919) in
+  for i = 1 to 200 do
+    Alcotest.(check bool)
+      (Printf.sprintf "a: key %d fresh" i)
+      true
+      (claim a i = `Fresh)
+  done;
+  for i = 1 to 200 do
+    Alcotest.(check bool)
+      (Printf.sprintf "b: key %d fresh" i)
+      true
+      (claim b i = `Fresh);
+    Alcotest.(check bool)
+      (Printf.sprintf "a: key %d dup" i)
+      true
+      (claim a i = `Dup)
+  done;
+  Alcotest.(check int) "a occupancy" 200 (Spill_table.occupancy a);
+  Alcotest.(check int) "b occupancy" 200 (Spill_table.occupancy b);
+  Alcotest.(check bool)
+    "both grew" true
+    (Spill_table.segments a > 1 && Spill_table.segments b > 1);
+  Alcotest.(check (array string)) "segment files unlinked" [||]
+    (Sys.readdir dir)
+
+(* Segment files are unlinked right after mapping: whether a search
+   exhausts its space, stops from a callback or runs out of budget, its
+   spill directory is empty afterwards. *)
+let spill_leaves_no_files () =
+  let dir = "spill-clean.tmp" in
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let run ?max_states f =
+    ignore
+      (Parallel.iter_terminals ~max_crashes:1 ?max_states ~spill:dir
+         ~seq_threshold:0 ~jobs config ~f)
+  in
+  List.iter
+    (fun (label, search) ->
+      search ();
+      Alcotest.(check (array string))
+        (label ^ ": no segment files")
+        [||] (Sys.readdir dir))
+    [
+      ("exhausted", fun () -> run (fun _ _ -> ()));
+      ( "stopped",
+        fun () ->
+          let seen = Atomic.make 0 in
+          run (fun _ _ ->
+              if Atomic.fetch_and_add seen 1 >= 3 then raise Parallel.Stop) );
+      ("truncated", fun () -> run ~max_states:500 (fun _ _ -> ()));
+    ]
+
+(* ---------------------------------------------------------------- *)
 (* Parallel orbit minimization.                                      *)
 
 (* [Symmetry.canonical_key ~jobs] must return the identical key AND the
@@ -710,6 +1099,26 @@ let suite =
         test "terminal callbacks serialized, once per terminal"
           terminal_callback_count;
         test "max-states budget truncates identically" budget_truncation;
+        test "small spaces fall back to the seeder" seeder_fallback;
+        test "Stop from a callback is graceful" stop_from_callback;
+        test "alg2 quick slice (all counts)" stats_quick;
+        test_slow "crash-recovery budgets agree on spill and exact tables"
+          recovery_tables;
+        test "max-states budget is exact on spill and exact tables"
+          budget_truncation_tables;
+      ] );
+    ( "parallel.spill",
+      [
+        test "spill-mode counts match sequential" spill_determinism;
+        test "spill via Search preserves verdicts" spill_search_dispatch;
+        test "spill table claims once (forced collisions)" spill_claim_once;
+        test "failed segment growth releases the table lock"
+          spill_growth_error_releases_lock;
+        test "segment files never reuse an existing file"
+          spill_leaves_existing_files;
+        test "tables sharing a directory stay independent"
+          spill_tables_independent;
+        test "spill searches leave no segment files" spill_leaves_no_files;
       ] );
     ( "parallel.structures",
       [
@@ -725,11 +1134,13 @@ let suite =
         test_slow "linearizability agrees across jobs" lin_agrees;
         test_slow "wait-freedom bound agrees across jobs" wait_free_agrees;
         test "consensus verdict agrees across jobs" consensus_verdict_agrees;
+        test "verdicts agree through Search dispatch" verdicts_agree;
       ] );
     ( "parallel.fingerprint",
       [
         test_slow "paranoid (exact keys) cross-validates fingerprints"
           paranoid_cross_validation;
+        test "paranoid catches corrupted patches" paranoid_catches_mutation;
         test "fingerprint injective over reachable set" fingerprint_injective;
         test "equal canonical keys give equal fingerprints"
           fingerprint_respects_key;
